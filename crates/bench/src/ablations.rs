@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
 //! Each function returns a small comparison struct so the `repro` binary
-//! and the Criterion benches can report them uniformly.
+//! can report them uniformly.
 
 use sn_arch::{Bytes, Calibration, NodeSpec, Orchestration, SocketSpec, TimeSecs};
 use sn_compiler::{memplan, Compiler, FusionPolicy, SpillPolicy};

@@ -41,7 +41,6 @@ pub mod comparison;
 pub mod expert;
 pub mod generation;
 pub mod kv;
-pub mod lanes;
 pub mod placement;
 pub mod router;
 pub mod scheduler;
@@ -58,7 +57,6 @@ pub use comparison::{request_latency, LatencyBreakdown, Platform};
 pub use expert::{ExpertInfo, ExpertLibrary};
 pub use generation::GenerationModel;
 pub use kv::{KvStats, KvTouch, PagedKvCache, PagedKvConfig};
-pub use lanes::{ParMode, RouteTable};
 pub use placement::{
     ExpertStats, PlacementPlan, PlacementPolicy, PlacementView, PolicyConfig, PolicyReport,
     PrefetchPolicy, ServingPolicies,

@@ -104,15 +104,37 @@ impl PromptGenerator {
     }
 }
 
+/// Residue classes of `Prompt::id` the router distinguishes.
+const ID_CLASSES: u64 = 16;
+
 /// The router: maps each prompt to the most relevant expert (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Routing is a pure function of `(seed, domain, id % 16)`, a finite
+/// input space, so construction hashes every key once and
+/// [`Router::route`] is a table lookup.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Router {
-    seed: u64,
+    /// SipHash of `(seed, domain, class)` at `domain * 16 + class`.
+    hashes: [u64; Domain::ALL.len() * ID_CLASSES as usize],
 }
 
 impl Router {
     pub fn new(seed: u64) -> Self {
-        Router { seed }
+        let mut hashes = [0u64; Domain::ALL.len() * ID_CLASSES as usize];
+        for domain in Domain::ALL {
+            for class in 0..ID_CLASSES {
+                let mut h = DefaultHasher::new();
+                (seed, domain, class).hash(&mut h);
+                hashes[Self::key(domain, class)] = h.finish();
+            }
+        }
+        Router { hashes }
+    }
+
+    /// Table slot of a `(domain, id class)` key. `Domain` is declared in
+    /// `Domain::ALL` order, so the discriminant is the row.
+    fn key(domain: Domain, class: u64) -> usize {
+        domain as usize * ID_CLASSES as usize + class as usize
     }
 
     /// Routes a prompt to one of `n_experts` experts: prompts of the same
@@ -124,9 +146,8 @@ impl Router {
     /// Panics when `n_experts` is zero.
     pub fn route(&self, prompt: &Prompt, n_experts: usize) -> usize {
         assert!(n_experts > 0, "routing requires at least one expert");
-        let mut h = DefaultHasher::new();
-        (self.seed, prompt.domain, prompt.id % 16).hash(&mut h);
-        (h.finish() % n_experts as u64) as usize
+        let h = self.hashes[Self::key(prompt.domain, prompt.id % ID_CLASSES)];
+        (h % n_experts as u64) as usize
     }
 }
 

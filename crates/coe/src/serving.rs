@@ -8,7 +8,6 @@
 //! executes sequentially (§VI-B).
 
 use crate::expert::ExpertLibrary;
-use crate::lanes::RouteTable;
 use crate::router::{Prompt, Router};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, Flops, NodeSpec, Orchestration, TimeSecs};
@@ -97,11 +96,6 @@ pub struct SambaCoeNode {
     pub(crate) retry: RetryPolicy,
     pub(crate) tracer: Tracer,
     pub(crate) slo: Option<SloTracker>,
-    /// Memoized router decisions ([`crate::lanes::RouteTable`]), built by
-    /// [`SambaCoeNode::with_intra_jobs`]. A single node has no per-node
-    /// lanes to fan out, so the intra-run knob here only swaps the route
-    /// pass for the table lookup — bit-identical by construction.
-    pub(crate) route_table: Option<RouteTable>,
 }
 
 impl SambaCoeNode {
@@ -165,7 +159,6 @@ impl SambaCoeNode {
             retry: RetryPolicy::standard(),
             tracer: Tracer::disabled(),
             slo: None,
-            route_table: None,
         })
     }
 
@@ -216,31 +209,6 @@ impl SambaCoeNode {
             config,
         ));
         self
-    }
-
-    /// Sets the intra-run parallelism knob. On a single node the only
-    /// lane-engine component that applies is the [`RouteTable`] memo
-    /// (there is no per-node work to fan across threads), so `jobs > 1`
-    /// builds the table and `jobs <= 1` keeps the live router — both
-    /// produce bit-identical assignments.
-    #[must_use]
-    pub fn with_intra_jobs(mut self, jobs: usize) -> Self {
-        self.route_table = if jobs > 1 {
-            Some(RouteTable::build(&self.router, self.library.len()))
-        } else {
-            None
-        };
-        self
-    }
-
-    /// One routing decision through the memo when built, else the live
-    /// router. Bit-identical either way ([`RouteTable::build`] enumerates
-    /// the router itself).
-    pub(crate) fn route_one(&self, prompt: &Prompt, n_experts: usize) -> usize {
-        match &self.route_table {
-            Some(table) => table.route(prompt),
-            None => self.router.route(prompt, n_experts),
-        }
     }
 
     pub fn library(&self) -> &ExpertLibrary {
@@ -431,7 +399,7 @@ impl SambaCoeNode {
     ) -> ServeReport {
         assert!(!prompts.is_empty(), "empty batch");
         let n = self.library.len();
-        let assignments: Vec<usize> = prompts.iter().map(|p| self.route_one(p, n)).collect();
+        let assignments: Vec<usize> = prompts.iter().map(|p| self.router.route(p, n)).collect();
         let router = self.router_time();
         let (prefill_unit, decode_unit) = self.unit_run_times(output_tokens);
         let run = prefill_unit + decode_unit;
@@ -490,7 +458,7 @@ impl SambaCoeNode {
     pub fn serve_batch(&mut self, prompts: &[Prompt], output_tokens: usize) -> ServeReport {
         assert!(!prompts.is_empty(), "empty batch");
         let n = self.library.len();
-        let assignments: Vec<usize> = prompts.iter().map(|p| self.route_one(p, n)).collect();
+        let assignments: Vec<usize> = prompts.iter().map(|p| self.router.route(p, n)).collect();
         let router = self.router_time();
         // Activate deduplicated experts in routing order.
         let mut switching = TimeSecs::ZERO;
@@ -567,7 +535,7 @@ impl SambaCoeNode {
             return Ok(self.serve_batch(prompts, output_tokens));
         };
         let n = self.library.len();
-        let assignments: Vec<usize> = prompts.iter().map(|p| self.route_one(p, n)).collect();
+        let assignments: Vec<usize> = prompts.iter().map(|p| self.router.route(p, n)).collect();
         let mut recovery = Recovery::default();
 
         // Router: one classification pass over the batch; a Fail draw is a

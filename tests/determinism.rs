@@ -2,7 +2,9 @@
 //! reproducible, and its data structures round-trip through serde.
 
 use samba_coe::arch::prelude::*;
-use samba_coe::coe::{CoeCluster, ExpertLibrary, PromptGenerator, Router, SambaCoeNode};
+use samba_coe::coe::{
+    CoeCluster, Domain, ExpertLibrary, Prompt, PromptGenerator, Router, SambaCoeNode,
+};
 use samba_coe::compiler::{Compiler, FusionPolicy};
 use samba_coe::faults::{FaultPlan, FaultSite, FaultSpec, RetryPolicy};
 use samba_coe::models::{build, Phase, TransformerConfig};
@@ -136,6 +138,51 @@ fn routing_is_stable_across_library_sizes_queries() {
     let first: Vec<usize> = prompts.iter().map(|p| router.route(p, 150)).collect();
     let second: Vec<usize> = prompts.iter().map(|p| router.route(p, 150)).collect();
     assert_eq!(first, second);
+}
+
+/// Golden routes of the cluster router (`Router::new(0xc1a5fe2)`) over
+/// a 480-expert library: one row per `Domain::ALL` entry, one column per
+/// `id % 16` class. Every tracked metric routes through this table, so a
+/// change in the hash (std documents `DefaultHasher`'s algorithm as
+/// unspecified across releases) fails here before it drifts a report.
+#[rustfmt::skip]
+const GOLDEN_ROUTES_480: [[usize; 16]; 10] = [
+    [168, 458, 261, 85, 319, 369, 316, 132, 422, 230, 207, 318, 166, 457, 145, 344],
+    [378, 264, 171, 218, 236, 216, 273, 374, 403, 389, 91, 240, 50, 314, 437, 85],
+    [383, 220, 479, 174, 313, 50, 284, 36, 434, 435, 58, 168, 368, 399, 357, 370],
+    [385, 297, 366, 32, 361, 252, 69, 300, 286, 409, 165, 96, 199, 87, 136, 67],
+    [370, 144, 126, 38, 132, 48, 342, 219, 415, 257, 309, 71, 363, 11, 138, 236],
+    [216, 304, 93, 68, 411, 290, 280, 246, 166, 171, 6, 199, 416, 272, 346, 296],
+    [387, 418, 186, 464, 230, 17, 232, 192, 165, 174, 203, 39, 237, 284, 370, 374],
+    [395, 238, 414, 251, 15, 372, 19, 390, 161, 72, 179, 300, 420, 347, 98, 48],
+    [266, 28, 335, 235, 325, 162, 202, 48, 100, 42, 235, 147, 298, 108, 162, 316],
+    [233, 344, 158, 204, 368, 217, 270, 262, 233, 457, 144, 333, 85, 414, 13, 250],
+];
+
+#[test]
+fn router_matches_golden_routes_and_keys_only_on_domain_and_id_class() {
+    let router = Router::new(0xc1a5fe2);
+    for (domain, golden) in Domain::ALL.into_iter().zip(&GOLDEN_ROUTES_480) {
+        for (class, &want) in (0u64..).zip(golden) {
+            // Ids beyond the residue and any prompt length land on the
+            // class's expert.
+            for id in [
+                class,
+                class + 16,
+                class + 16 * 1_000_003,
+                u64::MAX - 15 + class,
+            ] {
+                for tokens in [1usize, 128, 4096] {
+                    let p = Prompt { id, domain, tokens };
+                    assert_eq!(
+                        router.route(&p, 480),
+                        want,
+                        "{domain:?} id {id} ({tokens} tokens)"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
