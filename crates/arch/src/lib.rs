@@ -5,7 +5,8 @@
 //! [`units`], and instantiates hardware through the spec structs in [`chip`],
 //! [`socket`], [`node`], and [`gpu`]. All numbers that cannot be derived from
 //! the paper or public datasheets live in [`calib`] with documentation of
-//! where they come from.
+//! where they come from. [`hash`] pins the seeded hash every routing and
+//! signature decision goes through.
 //!
 //! # Example
 //!
@@ -23,6 +24,7 @@
 pub mod calib;
 pub mod chip;
 pub mod gpu;
+pub mod hash;
 pub mod node;
 pub mod roofline;
 pub mod socket;

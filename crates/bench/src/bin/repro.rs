@@ -6,6 +6,7 @@
 //! repro [--jobs N] tenants
 //! repro [--jobs N] placement
 //! repro [--jobs N] [--obs out.json] obs
+//! repro [--jobs N] [--time] grid
 //! repro --trace [out.json]
 //! repro --profile
 //! repro [--jobs N] --bench-json [out.json]
@@ -16,7 +17,8 @@
 //! the deterministic ordered-merge engine (`sn_bench::par`); the default
 //! is the host's available parallelism and `--jobs 1` forces the legacy
 //! sequential path. Output is byte-identical for every N. `--time` adds
-//! wall-clock lines (1 job vs N jobs) to the serve sweep.
+//! wall-clock lines (1 job vs N jobs) to the serve sweep and the grid's
+//! wall-clock to `grid`.
 //!
 //! `--trace` replays the Figure 12 SN40L serving point (150 experts,
 //! BS=8) with structured tracing enabled, writes a Chrome-trace JSON
@@ -54,6 +56,12 @@
 //! prefetch, hot-expert replication, cold re-homing, paged KV cache)
 //! against the reactive baseline on one HBM-pressured chaos scenario,
 //! printing hit rate, switch-bound share, and prefetch-waste per row.
+//!
+//! `grid` serves the tenant chaos scenario exactly at every cell of a
+//! 480-cell capacity grid (2..6 nodes × chaos on/off × standard or
+//! batch-heavy mix × 24 loads), printing one envelope row per
+//! nodes × chaos × mix surface, the longest-drain cell, and a digest of
+//! every cell's metrics.
 //!
 //! `--bench-json` writes the continuous-benchmark snapshot — every
 //! tracked key figure with its tolerance — for `scripts/bench_check.sh`.
@@ -567,117 +575,84 @@ fn run_profile() {
     }
 }
 
-fn run_surrogate(jobs: usize, timed: bool) {
-    hr("SURROGATE: calibrated analytical grid with exact-sim spot checks");
+fn run_grid(jobs: usize, timed: bool) {
+    use sn_bench::tenants;
+    hr(&format!(
+        "CAPACITY GRID: tenant chaos scenario served exactly over {} nodes x chaos x mix x \
+         {} loads",
+        tenants::GRID_NODES.len(),
+        tenants::GRID_LOAD_STEPS,
+    ));
     let wall = std::time::Instant::now();
-    let suite = sn_bench::surrogate::surrogate_suite(jobs);
-    let suite_ms = wall.elapsed().as_secs_f64() * 1e3;
-
+    let cells = tenants::grid_sweep_jobs(jobs);
+    let grid_ms = wall.elapsed().as_secs_f64() * 1e3;
     println!(
-        "calibration anchors ({} exact runs; fit {} basis terms per metric):",
-        suite.anchors.len(),
-        sn_surrogate::BASIS
+        "{:<6} {:<6} {:<7} {:>11} {:>11} {:>9} {:>9} {:>8} {:>8} {:>12} {:>9}",
+        "Nodes",
+        "Chaos",
+        "Mix",
+        "Int p99 max",
+        "Bat p99 max",
+        "Int gp/s",
+        "Bat gp/s",
+        "Hit min",
+        "Sw% max",
+        "Makespan max",
+        "SLO load"
     );
-    println!(
-        "  {:<28} {:>6} {:>6} {:>9} {:>9} {:>8} {:>11}",
-        "anchor", "waves", "occup", "i.p99 ms", "hit rate", "sw.bound", "makespan ms"
-    );
-    for a in &suite.anchors {
-        let e = &a.anchor.exact;
+    for s in tenants::grid_surfaces(&cells) {
+        let e = &s.envelope;
         println!(
-            "  {:<28} {:>6} {:>6.3} {:>9.2} {:>9.3} {:>8.3} {:>11.1}",
-            a.label,
-            a.waves.waves,
-            a.waves.mean_occupancy,
-            e.values[0],
-            e.values[4],
-            e.values[5],
-            e.values[6],
+            "{:<6} {:<6} {:<7} {:>11.1} {:>11.1} {:>9.1} {:>9.1} {:>8.3} {:>7.1}% {:>12.1} {:>9}",
+            s.case.nodes,
+            if s.case.chaos { "on" } else { "off" },
+            if s.case.batch_heavy { "batch+" } else { "std" },
+            e[0],
+            e[1],
+            e[2],
+            e[3],
+            e[4],
+            100.0 * e[5],
+            e[6],
+            s.slo_load
+                .map_or_else(|| "-".to_string(), |l| format!("{l:.2}x")),
         );
     }
-
-    println!(
-        "\npredicted grid: {} cells (nodes x chaos x mix x load) — {}x the exact sweep",
-        suite.predictions.len(),
-        suite.predictions.len() / sn_bench::tenants::SWEEP_LOADS.len()
-    );
-    let (worst_cell, worst) = suite
-        .predictions
+    let (longest, m) = cells
         .iter()
-        .max_by(|a, b| {
-            a.1.values[6]
-                .partial_cmp(&b.1.values[6])
-                .expect("finite makespans")
-        })
+        .max_by(|a, b| a.1[6].total_cmp(&b.1[6]))
         .expect("grid is non-empty");
     println!(
-        "  longest predicted drain: n{} x{:.2}{}{} -> {:.1} ms makespan, {:.3} hit rate",
-        worst_cell.nodes,
-        worst_cell.load,
-        if worst_cell.chaos { " chaos" } else { "" },
-        if worst_cell.batch_heavy {
-            " batch+"
-        } else {
-            ""
-        },
-        worst.values[6],
-        worst.values[4],
-    );
-
-    println!(
-        "\nexact spot checks (seed {:#x}):",
-        sn_bench::surrogate::SPOT_SEED
+        "\n{} cells, every one an exact run (p99 and makespan in ms; goodput is the peak \
+         across loads;\nSLO load is the highest load up to which interactive p99 holds its \
+         {} bound)",
+        cells.len(),
+        tenants::sweep_config().interactive.slo_bound,
     );
     println!(
-        "  {:<24} {:>13} {:>13} {:>13} {:>10}",
-        "cell", "i.p99 p/e ms", "hit p/e", "makespan p/e", "worst err"
+        "longest drain: n{} x{:.2}{}{} -> {:.1} ms makespan, {:.3} hit rate",
+        longest.nodes,
+        longest.load,
+        if longest.chaos { " chaos" } else { "" },
+        if longest.batch_heavy { " batch+" } else { "" },
+        m[6],
+        m[4],
     );
-    for s in &suite.spots {
-        let worst_err = s.errors.iter().cloned().fold(0.0f64, f64::max);
-        println!(
-            "  n{:<2} x{:<4.2}{:<7}{:<7} {:>6.1}/{:<6.1} {:>6.3}/{:<6.3} {:>6.0}/{:<6.0} {:>10.3}",
-            s.case.nodes,
-            s.case.load,
-            if s.case.chaos { " chaos" } else { "" },
-            if s.case.batch_heavy { " batch+" } else { "" },
-            s.predicted.values[0],
-            s.exact.values[0],
-            s.predicted.values[4],
-            s.exact.values[4],
-            s.predicted.values[6],
-            s.exact.values[6],
-            worst_err,
-        );
-    }
-
-    println!("\nper-metric worst relative error vs committed budget:");
-    for (m, name) in sn_surrogate::METRIC_NAMES.iter().enumerate() {
-        println!(
-            "  {:<26} {:>7.3} / {:<5.2} {}",
-            name,
-            suite.max_errors[m],
-            sn_bench::surrogate::ERROR_BUDGETS[m],
-            if suite.max_errors[m] <= sn_bench::surrogate::ERROR_BUDGETS[m] {
-                "ok"
-            } else {
-                "OVER"
-            }
-        );
-    }
-    assert!(
-        suite.gate,
-        "surrogate drift gate: a spot-check error exceeded its committed budget"
+    println!(
+        "grid digest {:016x} over {} metrics x {} cells",
+        tenants::grid_digest(&cells),
+        tenants::GRID_METRICS.len(),
+        cells.len()
     );
-    println!("gate: PASS — every metric within budget");
     if timed {
-        println!("suite wall-clock {suite_ms:.1} ms at {jobs} jobs");
+        println!("grid wall-clock {grid_ms:.1} ms at {jobs} job(s)");
     }
 }
 
 fn run_bench_json(path: &str, jobs: usize) {
     hr("BENCH SNAPSHOT: tracked key figures for the regression harness");
     let wall = std::time::Instant::now();
-    let (mut snap, suite) = sn_bench::profile::bench_snapshot_suite_jobs(jobs);
+    let mut snap = sn_bench::profile::bench_snapshot_jobs(jobs);
     let elapsed_ms = wall.elapsed().as_secs_f64() * 1e3;
     snap.push_info("simulator_wall_clock_ms", &format!("{elapsed_ms:.1}"));
     // Sweep wall-clock, legacy path vs the requested fan-out. Info
@@ -703,27 +678,6 @@ fn run_bench_json(path: &str, jobs: usize) {
     snap.push_info(
         "serve_sweep_speedup",
         &format!("{:.2}", seq_ms / par_ms.max(1e-9)),
-    );
-    // Surrogate scale claim: predicting the whole grid must cost less
-    // wall-clock than one exact tenants sweep. The predictions reuse
-    // the calibration the snapshot's suite already fitted; both walls
-    // ride as info rows (recorded, never compared).
-    let wall = std::time::Instant::now();
-    let grid = sn_bench::surrogate::predict_grid_jobs(&suite.calibration, jobs);
-    let predict_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let wall = std::time::Instant::now();
-    let exact_sweep = sn_bench::tenants::tenants_sweep_jobs(jobs);
-    let exact_ms = wall.elapsed().as_secs_f64() * 1e3;
-    snap.push_info("surrogate_grid_points", &grid.len().to_string());
-    snap.push_info(
-        "surrogate_grid_vs_exact_sweep_size",
-        &format!("{}", grid.len() / exact_sweep.len().max(1)),
-    );
-    snap.push_info("surrogate_predict_wall_ms", &format!("{predict_ms:.2}"));
-    snap.push_info("tenants_exact_sweep_wall_ms", &format!("{exact_ms:.2}"));
-    snap.push_info(
-        "surrogate_predict_speedup",
-        &format!("{:.1}", exact_ms / predict_ms.max(1e-9)),
     );
     let json = snap.to_json();
     if let Err(e) = std::fs::write(path, &json) {
@@ -781,7 +735,7 @@ fn usage_exit(complaint: &str) -> ! {
     eprintln!(
         "usage: repro [--jobs N] [--time] [--obs out.json] [table1|table2|\
          fig1|fig10|fig11|fig12|fig13|table3|ablations|extensions|serve|tenants|placement|\
-         obs|surrogate|--faults|--trace [out.json]|--profile|--bench-json [out.json]|\
+         obs|grid|--faults|--trace [out.json]|--profile|--bench-json [out.json]|\
          --bench-check <baseline> [current]|all]"
     );
     std::process::exit(2);
@@ -832,7 +786,7 @@ fn main() {
             return;
         }
         "bench-json" | "--bench-json" => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_PR10.json");
+            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_PR13.json");
             run_bench_json(path, jobs);
             return;
         }
@@ -862,7 +816,7 @@ fn main() {
         "tenants" | "--tenants" => run_tenants(jobs),
         "placement" | "--placement" => run_placement(jobs),
         "obs" => run_obs(jobs, obs_export.as_deref()),
-        "surrogate" | "--surrogate" => run_surrogate(jobs, timed),
+        "grid" | "--grid" => run_grid(jobs, timed),
         "all" => {
             table1();
             table2();
@@ -878,7 +832,7 @@ fn main() {
             run_tenants(jobs);
             run_placement(jobs);
             run_obs(jobs, obs_export.as_deref());
-            run_surrogate(jobs, timed);
+            run_grid(jobs, timed);
             run_ablations();
         }
         other => usage_exit(&format!("unknown experiment '{other}'")),

@@ -12,7 +12,6 @@ pub mod par;
 pub mod placement;
 pub mod profile;
 pub mod serve;
-pub mod surrogate;
 pub mod tenants;
 pub mod trace;
 pub mod validate;

@@ -315,8 +315,8 @@ pub fn switch_bound_fraction(report: &TenancyReport) -> f64 {
 
 /// [`switch_bound_fraction`] with an explicit expert-library size, so
 /// reports from scenarios other than this sweep's CoE-150 composition
-/// (e.g. the surrogate's exact spot checks over the tenants-style grid)
-/// classify against their own per-expert switch bytes. The arithmetic
+/// (e.g. the tenants capacity grid's 120-expert cells) classify against
+/// their own per-expert switch bytes. The arithmetic
 /// is identical — `switch_bound_fraction` is the `SWEEP_EXPERTS` case.
 pub fn switch_bound_fraction_for(report: &TenancyReport, experts: usize) -> f64 {
     let machine =

@@ -23,6 +23,7 @@ use sn_coe::{
 };
 use sn_faults::{ChaosSchedule, FaultSite, FaultSpec};
 use sn_profile::MachineProfile;
+use std::hash::Hasher;
 
 /// Seed shared by every sweep point.
 pub const SWEEP_SEED: u64 = 0x7e4a;
@@ -201,41 +202,41 @@ pub fn sweep_controller() -> AutoscaleController {
 
 /// The sweep's starting cluster, shared by the report helpers here and
 /// the `obs` replay so both serve the same shape.
+pub fn sweep_cluster() -> CoeCluster {
+    cluster_of(SWEEP_NODES)
+}
+
+/// A fresh `nodes`-node cluster hosting the sweep's expert library.
 ///
 /// # Panics
 ///
 /// Panics if the expert library cannot be placed on the starting
 /// cluster (a configuration bug, not a runtime condition).
-pub fn sweep_cluster() -> CoeCluster {
+fn cluster_of(nodes: usize) -> CoeCluster {
     CoeCluster::new(
         NodeSpec::sn40l_node(),
-        SWEEP_NODES,
+        nodes,
         ExpertLibrary::new(SWEEP_EXPERTS),
         SWEEP_PROMPT_TOKENS,
     )
     .expect("sweep library fits the starting cluster")
 }
 
-/// Runs the full scenario report for one `(seed, load)` point.
-///
-/// # Panics
-///
-/// Panics if the expert library cannot be placed on the starting
-/// cluster (a configuration bug, not a runtime condition).
-pub fn tenants_report_seeded(seed: u64, load: f64) -> TenancyReport {
-    let mut cluster = sweep_cluster();
+/// Serves one tenant mix on a fresh `nodes`-node cluster with a fresh
+/// controller, under the sweep chaos schedule when `chaos` is set.
+fn serve_scenario(seed: u64, nodes: usize, tenants: &[TenantSpec], chaos: bool) -> TenancyReport {
     let mut config = sweep_config();
     config.seed = seed;
-    let chaos = sweep_chaos(seed);
+    let chaos = chaos.then(|| sweep_chaos(seed));
     let mut controller = sweep_controller();
-    cluster
-        .serve_tenants(
-            &sweep_tenants(load),
-            &config,
-            Some(&chaos),
-            Some(&mut controller),
-        )
+    cluster_of(nodes)
+        .serve_tenants(tenants, &config, chaos.as_ref(), Some(&mut controller))
         .expect("tenant scenario serves")
+}
+
+/// Runs the full scenario report for one `(seed, load)` point.
+pub fn tenants_report_seeded(seed: u64, load: f64) -> TenancyReport {
+    serve_scenario(seed, SWEEP_NODES, &sweep_tenants(load), true)
 }
 
 /// Summarizes one sweep point at `load`.
@@ -292,6 +293,167 @@ pub fn tenants_sweep_seeded_jobs(seed: u64, jobs: usize) -> Vec<TenantSweepPoint
     crate::par::ordered_map(jobs, SWEEP_LOADS, |_, &load| {
         tenants_point_seeded(seed, load)
     })
+}
+
+/// Load multipliers of the capacity grid: 0.25 .. 6.0 in quarter steps.
+pub const GRID_LOAD_STEPS: usize = 24;
+
+/// Cluster sizes of the capacity grid (the autoscaler's legal range).
+pub const GRID_NODES: &[usize] = &[2, 3, 4, 5, 6];
+
+/// Per-cell metrics of the capacity grid, index-aligned with
+/// [`GridMetrics`].
+pub const GRID_METRICS: [&str; 7] = [
+    "interactive_p99_ms",
+    "batch_p99_ms",
+    "interactive_goodput_rps",
+    "batch_goodput_rps",
+    "hbm_hit_rate",
+    "switch_bound_fraction",
+    "makespan_ms",
+];
+
+/// One cell's values of [`GRID_METRICS`].
+pub type GridMetrics = [f64; 7];
+
+/// Index of `hbm_hit_rate`, the one grid metric whose worst case is
+/// its minimum.
+const HIT_RATE: usize = 4;
+
+/// One cell of the capacity grid: the sweep scenario generalized over
+/// cluster size, chaos, tenant mix, and load.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridCase {
+    /// Nodes the cluster starts with.
+    pub nodes: usize,
+    /// Offered-load multiplier.
+    pub load: f64,
+    /// Whether the sweep chaos schedule applies.
+    pub chaos: bool,
+    /// Whether the batch tenants' request counts are doubled.
+    pub batch_heavy: bool,
+}
+
+/// The full grid in fixed order: nodes, then chaos, then mix, then load
+/// (innermost), so each run of [`GRID_LOAD_STEPS`] cells is one
+/// nodes × chaos × mix surface. 480 cells.
+pub fn grid() -> Vec<GridCase> {
+    let mut cells = Vec::new();
+    for &nodes in GRID_NODES {
+        for chaos in [false, true] {
+            for batch_heavy in [false, true] {
+                for step in 1..=GRID_LOAD_STEPS {
+                    cells.push(GridCase {
+                        nodes,
+                        load: step as f64 * 0.25,
+                        chaos,
+                        batch_heavy,
+                    });
+                }
+            }
+        }
+    }
+    cells
+}
+
+/// The sweep mix at a load multiplier, with the batch tenants' request
+/// counts doubled on `batch_heavy` cells.
+pub fn grid_tenants(load: f64, batch_heavy: bool) -> Vec<TenantSpec> {
+    let mut specs = sweep_tenants(load);
+    if batch_heavy {
+        for t in specs.iter_mut().filter(|t| t.class == SloClass::Batch) {
+            t.requests *= 2;
+        }
+    }
+    specs
+}
+
+/// Runs one grid cell exactly. The `nodes = 4`, chaos-on, standard-mix
+/// cells reproduce [`tenants_report_seeded`] bit for bit.
+pub fn exact_report(case: &GridCase) -> TenancyReport {
+    serve_scenario(
+        SWEEP_SEED,
+        case.nodes,
+        &grid_tenants(case.load, case.batch_heavy),
+        case.chaos,
+    )
+}
+
+/// Folds a grid cell's report into [`GRID_METRICS`], classifying
+/// switch-bound time against the sweep's expert library.
+pub fn exact_metrics(report: &TenancyReport) -> GridMetrics {
+    [
+        report
+            .latency_percentile(SloClass::Interactive, 0.99)
+            .as_millis(),
+        report.latency_percentile(SloClass::Batch, 0.99).as_millis(),
+        report.goodput_rps(SloClass::Interactive),
+        report.goodput_rps(SloClass::Batch),
+        report.expert_hit_rate(),
+        crate::placement::switch_bound_fraction_for(report, SWEEP_EXPERTS),
+        report.makespan.as_millis(),
+    ]
+}
+
+/// Every [`grid`] cell served exactly, fanned across `jobs` worker
+/// threads via the ordered-merge engine: byte-identical at any `jobs`.
+pub fn grid_sweep_jobs(jobs: usize) -> Vec<(GridCase, GridMetrics)> {
+    crate::par::ordered_map(jobs, &grid(), |_, case| {
+        (*case, exact_metrics(&exact_report(case)))
+    })
+}
+
+/// One nodes × chaos × mix surface of the grid, folded over its loads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridSurface {
+    /// The surface's first (lightest-load) cell.
+    pub case: GridCase,
+    /// Per metric, the worst value across the surface's loads: the
+    /// minimum HBM hit rate, the maximum of every other metric (peak
+    /// goodput, worst p99, switch-bound share, and makespan).
+    pub envelope: GridMetrics,
+    /// Highest load up to which every load holds the interactive SLO
+    /// bound; `None` when even the lightest load misses it.
+    pub slo_load: Option<f64>,
+}
+
+/// Folds grid-ordered cells into one [`GridSurface`] per
+/// [`GRID_LOAD_STEPS`]-cell surface.
+pub fn grid_surfaces(cells: &[(GridCase, GridMetrics)]) -> Vec<GridSurface> {
+    let bound_ms = sweep_config().interactive.slo_bound.as_millis();
+    cells
+        .chunks(GRID_LOAD_STEPS)
+        .map(|surface| {
+            let mut envelope = surface[0].1;
+            for (_, m) in &surface[1..] {
+                for (i, (e, &v)) in envelope.iter_mut().zip(m).enumerate() {
+                    *e = if i == HIT_RATE { e.min(v) } else { e.max(v) };
+                }
+            }
+            let slo_load = surface
+                .iter()
+                .take_while(|(_, m)| m[0] <= bound_ms)
+                .last()
+                .map(|(case, _)| case.load);
+            GridSurface {
+                case: surface[0].0,
+                envelope,
+                slo_load,
+            }
+        })
+        .collect()
+}
+
+/// Digest of every cell's metric bits in grid order, so one line pins
+/// all 480 cells.
+pub fn grid_digest(cells: &[(GridCase, GridMetrics)]) -> u64 {
+    let mut h = sn_arch::hash::StableHasher::new();
+    for (_, m) in cells {
+        for v in m {
+            h.write_u64(v.to_bits());
+        }
+    }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -362,6 +524,52 @@ mod tests {
                 p.interactive_p99,
                 bound
             );
+        }
+    }
+
+    #[test]
+    fn grid_covers_every_surface_once() {
+        let cells = grid();
+        assert_eq!(
+            cells.len(),
+            GRID_NODES.len() * 2 * 2 * GRID_LOAD_STEPS,
+            "nodes x chaos x mix x load"
+        );
+        for (i, a) in cells.iter().enumerate() {
+            assert!(!cells[i + 1..].contains(a), "duplicate cell {a:?}");
+        }
+        for surface in cells.chunks(GRID_LOAD_STEPS) {
+            assert!(surface.iter().all(|c| c.nodes == surface[0].nodes
+                && c.chaos == surface[0].chaos
+                && c.batch_heavy == surface[0].batch_heavy));
+        }
+    }
+
+    #[test]
+    fn standard_cells_match_the_exact_sweep_scenario() {
+        // The nodes=4 chaos-on standard cells are the sweep points.
+        for &load in SWEEP_LOADS {
+            let case = GridCase {
+                nodes: SWEEP_NODES,
+                load,
+                chaos: true,
+                batch_heavy: false,
+            };
+            assert_eq!(
+                exact_report(&case),
+                tenants_report_seeded(SWEEP_SEED, load),
+                "grid cell at load {load} must reproduce the sweep bit for bit"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_heavy_doubles_only_batch_tenants() {
+        let std = grid_tenants(1.0, false);
+        let heavy = grid_tenants(1.0, true);
+        for (s, h) in std.iter().zip(&heavy) {
+            let factor = if s.class == SloClass::Batch { 2 } else { 1 };
+            assert_eq!(h.requests, factor * s.requests, "{}", s.name);
         }
     }
 }

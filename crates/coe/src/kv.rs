@@ -241,6 +241,11 @@ impl PagedKvCache {
             );
             self.stats.pages_in += 1;
         }
+        debug_assert_eq!(
+            self.stats.pages_in,
+            self.pages.len() as u64 + self.stats.pages_evicted,
+            "KV page conservation broke in this touch"
+        );
         touch
     }
 

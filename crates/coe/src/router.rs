@@ -8,8 +8,7 @@
 //! which drives switching behavior.
 
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use sn_arch::hash::StableHasher;
 
 /// Task domains the experts specialize in (§II names coding, math, and
 /// language translation among others).
@@ -88,9 +87,8 @@ impl PromptGenerator {
     pub fn next_prompt(&mut self) -> Prompt {
         let id = self.next_id;
         self.next_id += 1;
-        let mut h = DefaultHasher::new();
-        (self.seed, id).hash(&mut h);
-        let domain = Domain::ALL[(h.finish() % Domain::ALL.len() as u64) as usize];
+        let h = StableHasher::hash_one(&(self.seed, id));
+        let domain = Domain::ALL[(h % Domain::ALL.len() as u64) as usize];
         Prompt {
             id,
             domain,
@@ -123,9 +121,7 @@ impl Router {
         let mut hashes = [0u64; Domain::ALL.len() * ID_CLASSES as usize];
         for domain in Domain::ALL {
             for class in 0..ID_CLASSES {
-                let mut h = DefaultHasher::new();
-                (seed, domain, class).hash(&mut h);
-                hashes[Self::key(domain, class)] = h.finish();
+                hashes[Self::key(domain, class)] = StableHasher::hash_one(&(seed, domain, class));
             }
         }
         Router { hashes }

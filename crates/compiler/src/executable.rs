@@ -5,10 +5,10 @@ use crate::fusion::FusionPolicy;
 use crate::memplan::MemoryPlan;
 use crate::resources::{KernelResources, ResourceModel};
 use serde::{Deserialize, Serialize};
+use sn_arch::hash::StableHasher;
 use sn_arch::{Bytes, Flops, TimeSecs};
 use sn_dataflow::intensity::KernelPartition;
 use sn_dataflow::{Graph, NodeId};
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Identifier of a kernel within one executable.
@@ -36,7 +36,7 @@ pub struct Kernel {
 }
 
 fn signature(graph: &Graph, nodes: &[NodeId]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = StableHasher::new();
     for &nid in nodes {
         let n = graph.node(nid);
         n.op.mnemonic().hash(&mut h);
