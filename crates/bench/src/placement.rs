@@ -33,6 +33,7 @@ use sn_coe::{
     PrefetchPolicy, RateLimit, ServingPolicies, SloClass, TenancyConfig, TenancyReport, TenantSpec,
 };
 use sn_faults::{ChaosSchedule, FaultSite, FaultSpec};
+use sn_obs::Obs;
 use sn_profile::{Bound, MachineProfile, PhaseKind, PhaseSample, ServeAttribution};
 
 /// Seed shared by every sweep point.
@@ -267,7 +268,7 @@ pub fn sweep_policy_config() -> PolicyConfig {
 }
 
 /// Runs the full scenario report for one `(seed, case)` point. With
-/// `case.policies` off this is exactly `serve_tenants` — the reactive
+/// `case.policies` off the run gets no policy bundle — the reactive
 /// baseline the policy rows are measured against.
 ///
 /// # Panics
@@ -286,22 +287,19 @@ pub fn placement_report_seeded(seed: u64, case: PlacementCase) -> TenancyReport 
     config.seed = seed;
     let chaos = case.chaos.then(|| sweep_chaos(seed));
     let tenants = sweep_tenants(case.load);
-    if case.policies {
-        let mut policies = ServingPolicies::new(SWEEP_EXPERTS, sweep_policy_config());
-        cluster
-            .serve_tenants_with_policies(
-                &tenants,
-                &config,
-                chaos.as_ref(),
-                None,
-                Some(&mut policies),
-            )
-            .expect("placement scenario serves")
-    } else {
-        cluster
-            .serve_tenants(&tenants, &config, chaos.as_ref(), None)
-            .expect("placement scenario serves")
-    }
+    let mut policies = case
+        .policies
+        .then(|| ServingPolicies::new(SWEEP_EXPERTS, sweep_policy_config()));
+    cluster
+        .serve_tenants_observed(
+            &tenants,
+            &config,
+            chaos.as_ref(),
+            None,
+            policies.as_mut(),
+            &Obs::disabled(),
+        )
+        .expect("placement scenario serves")
 }
 
 /// Classifies one report's time through the `sn-profile` roofline

@@ -22,6 +22,7 @@ use sn_coe::{
     SloClass, TenancyConfig, TenancyReport, TenantSpec,
 };
 use sn_faults::{ChaosSchedule, FaultSite, FaultSpec};
+use sn_obs::Obs;
 use sn_profile::MachineProfile;
 use std::hash::Hasher;
 
@@ -230,7 +231,14 @@ fn serve_scenario(seed: u64, nodes: usize, tenants: &[TenantSpec], chaos: bool) 
     let chaos = chaos.then(|| sweep_chaos(seed));
     let mut controller = sweep_controller();
     cluster_of(nodes)
-        .serve_tenants(tenants, &config, chaos.as_ref(), Some(&mut controller))
+        .serve_tenants_observed(
+            tenants,
+            &config,
+            chaos.as_ref(),
+            Some(&mut controller),
+            None,
+            &Obs::disabled(),
+        )
         .expect("tenant scenario serves")
 }
 

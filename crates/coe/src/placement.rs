@@ -19,7 +19,7 @@
 //!   becomes free when a replica already holds the weights) and spreads
 //!   cold experts off overloaded nodes.
 //! - [`ServingPolicies`] bundles the above plus a [`crate::kv`] paged KV
-//!   cache for [`crate::CoeCluster::serve_tenants_with_policies`].
+//!   cache for [`crate::CoeCluster::serve_tenants_observed`].
 //!
 //! All decisions are pure functions of accumulated statistics over
 //! ordered containers — two runs observing the same waves produce the

@@ -67,17 +67,19 @@
 //! ```
 
 use crate::autoscale::{AutoscaleController, ScaleDecision, ScaleEvent};
-use crate::cluster::{CoeCluster, WavePlacement, WaveSlot};
+use crate::cluster::{CoeCluster, RebalanceReport, WaveOutcome, WavePlacement, WaveSlot};
+use crate::placement::ServingPolicies;
 use crate::router::Prompt;
 use crate::scheduler::{ArrivalPattern, ArrivalProcess};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, TimeSecs};
-use sn_faults::{ChaosEventKind, ChaosSchedule, FaultDecision, FaultSite};
+use sn_faults::{ChaosEvent, ChaosEventKind, ChaosSchedule, FaultDecision, FaultSite};
 use sn_obs::Obs;
 use sn_profile::BatchObservation;
 use sn_runtime::coe::CoeError;
-use sn_trace::Counter;
+use sn_trace::{Counter, Tracer};
 use std::collections::VecDeque;
+use std::mem::take;
 
 /// Service class a tenant's traffic belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -330,7 +332,7 @@ pub struct TenantSummary {
 }
 
 /// Per-wave phase/occupancy snapshot recorded at every wave boundary
-/// of [`CoeCluster::serve_tenants`]-family runs. Pure readers of loop
+/// of [`CoeCluster::serve_tenants_observed`]. Pure readers of loop
 /// state — collecting them never perturbs the serving timeline, so the
 /// tracked report fields stay bit-identical with or without consumers.
 /// `perfbench` reads them to check per-wave slot accounting and to
@@ -417,9 +419,9 @@ pub struct TenancyReport {
     /// The engine configuration the run used (carries the class SLO
     /// bounds goodput accounting needs).
     pub config: TenancyConfig,
-    /// What the policy layer did, when the run used
-    /// [`CoeCluster::serve_tenants_with_policies`] with a bundle; `None`
-    /// on plain runs.
+    /// What the policy layer did, when the run passed
+    /// [`CoeCluster::serve_tenants_observed`] a policy bundle; `None` on
+    /// plain runs.
     pub policy: Option<crate::placement::PolicyReport>,
 }
 
@@ -604,17 +606,12 @@ impl TokenBucket {
 /// A request inside the engine (queued or in flight).
 #[derive(Debug, Clone)]
 struct Pending {
-    tenant: usize,
-    class: SloClass,
-    submit: usize,
-    prompt: Prompt,
-    arrival: TimeSecs,
+    req: TenantRequest,
     /// First wave entry, set on first admission to a wave.
     admitted: Option<TimeSecs>,
     /// First token landing, set by the first served chunk.
     first_token: Option<TimeSecs>,
     chunks_left: usize,
-    output_tokens: usize,
     preemptions: u32,
 }
 
@@ -631,78 +628,30 @@ impl CoeCluster {
     /// with no scheduled recovery sheds the remainder as
     /// [`ShedReason::CapacityLost`] rather than erroring).
     ///
-    /// # Errors
+    /// A [`ServingPolicies`] bundle drives predictive prefetch,
+    /// stats-driven placement, and paged KV management at wave
+    /// boundaries: each wave's router pass feeds
+    /// [`crate::placement::ExpertStats`] and the prefetch policy stages
+    /// predicted-hot experts DDR→HBM for the *next* wave; on a cadence
+    /// the placement policy replicates hot experts and spreads cold ones
+    /// via [`CoeCluster::apply_placement`]; each served chunk touches the
+    /// [`crate::kv::PagedKvCache`], whose evictions ride
+    /// [`Counter::KvPagesEvicted`] and whose refaulted live pages charge
+    /// a DDR→HBM refill. These background transfers overlap the next
+    /// wave's compute; only the excess beyond the wave's latency is
+    /// exposed on the model clock (and reported as `transfer_exposed`),
+    /// so mispredictions cost real bandwidth and — under short waves —
+    /// real time. With `policies = None` every hook is a no-op and the
+    /// report's `policy` field is `None`.
     ///
-    /// Propagates unexpected runtime errors from expert placement;
-    /// exhausting capacity is *not* an error (it sheds).
-    pub fn serve_tenants(
-        &mut self,
-        tenants: &[TenantSpec],
-        config: &TenancyConfig,
-        chaos: Option<&ChaosSchedule>,
-        autoscaler: Option<&mut AutoscaleController>,
-    ) -> Result<TenancyReport, CoeError> {
-        self.serve_tenants_with_policies(tenants, config, chaos, autoscaler, None)
-    }
-
-    /// [`CoeCluster::serve_tenants`] with an optional
-    /// [`ServingPolicies`](crate::placement::ServingPolicies)
-    /// bundle driving predictive prefetch, stats-driven placement, and
-    /// paged KV management at wave boundaries (PR 7):
-    ///
-    /// - after each wave, the router pass feeds
-    ///   [`crate::placement::ExpertStats`] and the prefetch policy stages
-    ///   predicted-hot experts DDR→HBM for the *next* wave;
-    /// - on a cadence, the placement policy replicates hot experts and
-    ///   spreads cold ones via [`CoeCluster::apply_placement`];
-    /// - each served chunk touches the [`crate::kv::PagedKvCache`];
-    ///   evictions ride [`Counter::KvPagesEvicted`] and refaulted live
-    ///   pages charge a DDR→HBM refill.
-    ///
-    /// Background transfers (prefetch, placement, KV refills) overlap
-    /// the next wave's compute; only the excess beyond the wave's
-    /// latency is exposed on the model clock (and reported as
-    /// `transfer_exposed`), so mispredictions cost real bandwidth and —
-    /// under short waves — real time.
-    ///
-    /// With `policies = None` every hook is a no-op and the arithmetic
-    /// path is exactly [`CoeCluster::serve_tenants`]' — reports come out
-    /// bit-identical (modulo the `policy` field, which is `None`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates unexpected runtime errors from expert placement;
-    /// exhausting capacity is *not* an error (it sheds).
-    pub fn serve_tenants_with_policies(
-        &mut self,
-        tenants: &[TenantSpec],
-        config: &TenancyConfig,
-        chaos: Option<&ChaosSchedule>,
-        autoscaler: Option<&mut AutoscaleController>,
-        policies: Option<&mut crate::placement::ServingPolicies>,
-    ) -> Result<TenancyReport, CoeError> {
-        self.serve_tenants_observed(
-            tenants,
-            config,
-            chaos,
-            autoscaler,
-            policies,
-            &Obs::disabled(),
-        )
-    }
-
-    /// [`CoeCluster::serve_tenants_with_policies`] with an [`Obs`]
-    /// observability pipeline attached (PR 8): at every wave boundary the
-    /// engine samples labeled per-tenant/per-node series (wave latency,
-    /// queue depths, HBM hit rate, per-tenant SLO good/bad counters),
-    /// evaluates the pipeline's alert rules, and feeds the flight
-    /// recorder — chaos crashes and fault-window openings open
-    /// post-mortem captures, as do firing alerts.
-    ///
-    /// The pipeline only *reads* serving state: a run with an enabled
-    /// `obs` produces a [`TenancyReport`] bit-identical to the same run
-    /// with `Obs::disabled()` (the same contract `sn-trace` keeps).
-    /// Alert transitions and frozen bundles ride the tracer as
+    /// An enabled [`Obs`] pipeline samples labeled per-tenant/per-node
+    /// series at every wave boundary (wave latency, queue depths, HBM
+    /// hit rate, per-tenant SLO good/bad counters), evaluates its alert
+    /// rules, and feeds the flight recorder — chaos crashes, fault-window
+    /// openings, and firing alerts open post-mortem captures. It only
+    /// *reads* serving state: the report is bit-identical to the same
+    /// run with `Obs::disabled()` (the contract `sn-trace` keeps). Alert
+    /// transitions and frozen bundles ride the tracer as
     /// [`Counter::AlertsFired`], [`Counter::AlertsResolved`], and
     /// [`Counter::PostmortemsCaptured`].
     ///
@@ -715,660 +664,644 @@ impl CoeCluster {
         tenants: &[TenantSpec],
         config: &TenancyConfig,
         chaos: Option<&ChaosSchedule>,
-        mut autoscaler: Option<&mut AutoscaleController>,
-        mut policies: Option<&mut crate::placement::ServingPolicies>,
+        autoscaler: Option<&mut AutoscaleController>,
+        policies: Option<&mut ServingPolicies>,
         obs: &Obs,
     ) -> Result<TenancyReport, CoeError> {
-        let tracer = self.tracer().clone();
-        let stream = merged_stream(tenants, config);
-        let submitted = stream.len();
-        let chaos_events = chaos.map(|c| c.events()).unwrap_or_default();
-        let mut buckets: Vec<TokenBucket> = tenants
-            .iter()
-            .map(|t| TokenBucket::new(t.rate_limit))
-            .collect();
-        let mut iq: VecDeque<Pending> = VecDeque::new();
-        let mut bq: VecDeque<Pending> = VecDeque::new();
-        let mut inflight: Vec<Pending> = Vec::new();
-        let mut records: Vec<TenantRecord> = Vec::new();
-        let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut wave_features: Vec<WaveFeature> = Vec::new();
-        let mut clock = TimeSecs::ZERO;
-        let mut next_request = 0usize;
-        let mut next_event = 0usize;
-        let mut admitted_count = 0usize;
-        let mut preemptions = 0usize;
-        let mut rehomed = 0usize;
-        let mut retransmits = 0usize;
-        let mut slowdowns = 0usize;
-        let mut waves = 0usize;
-        let mut expert_hits = 0usize;
-        let mut expert_misses = 0usize;
-        let mut switch_time = TimeSecs::ZERO;
-        // Background-transfer debt: prefetch, placement, and KV-refill
-        // time incurred at a wave boundary, drained against the next
-        // wave's latency (hidden) with the excess exposed on the clock.
-        let mut transfer_debt = TimeSecs::ZERO;
-        let mut last_placement_wave: Option<usize> = None;
-        let kv_switch_bandwidth = self.node_spec().model_switch_bandwidth();
-        // Chaos fault-window openings in start order (stable sort keeps
-        // declaration order for ties): each crossing opens a post-mortem
-        // capture. Only materialized when the pipeline records.
-        let mut window_opens: Vec<(TimeSecs, FaultSite)> = if obs.is_enabled() {
-            chaos
-                .map(|c| c.windows().iter().map(|w| (w.start, w.site)).collect())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        TenancyEngine::new(self, tenants, config, chaos, autoscaler, policies, obs).run()
+    }
+}
+
+/// One tenancy run. [`TenancyEngine::run`] calls one method per phase of
+/// a wave boundary, in the order DESIGN.md §9 explains. The report
+/// accumulates in place (its `config` and `tenants` are the run's
+/// inputs), and each event — shed, scale action, completion, wave — is
+/// recorded, counted, and observed by exactly one method.
+struct TenancyEngine<'a> {
+    cluster: &'a mut CoeCluster,
+    chaos: Option<&'a ChaosSchedule>,
+    autoscaler: Option<&'a mut AutoscaleController>,
+    policies: Option<&'a mut ServingPolicies>,
+    obs: &'a Obs,
+    tracer: Tracer,
+    /// Requests not yet taken, in submission order.
+    stream: VecDeque<TenantRequest>,
+    /// Crash/restore events not yet applied, in timeline order.
+    chaos_events: VecDeque<ChaosEvent>,
+    /// Fault-window openings not yet crossed, in start order (stable
+    /// sort keeps declaration order for ties). Only materialized when
+    /// the pipeline records: each crossing opens a post-mortem capture.
+    window_opens: VecDeque<(TimeSecs, FaultSite)>,
+    buckets: Vec<TokenBucket>,
+    /// Admitted requests awaiting a wave, one arrival-ordered queue per
+    /// class, indexed by `SloClass as usize`.
+    queues: [VecDeque<Pending>; 2],
+    inflight: Vec<Pending>,
+    clock: TimeSecs,
+    /// Background-transfer debt: prefetch, placement, and KV-refill
+    /// time incurred at a wave boundary, drained against the next
+    /// wave's latency (hidden) with the excess exposed on the clock.
+    transfer_debt: TimeSecs,
+    last_placement_wave: Option<usize>,
+    report: TenancyReport,
+}
+
+/// What the phases after serving read of one served wave.
+struct ServedWave {
+    outcome: WaveOutcome,
+    slots: Vec<WaveSlot>,
+    feature: WaveFeature,
+}
+
+impl<'a> TenancyEngine<'a> {
+    fn new(
+        cluster: &'a mut CoeCluster,
+        tenants: &[TenantSpec],
+        config: &TenancyConfig,
+        chaos: Option<&'a ChaosSchedule>,
+        autoscaler: Option<&'a mut AutoscaleController>,
+        policies: Option<&'a mut ServingPolicies>,
+        obs: &'a Obs,
+    ) -> Self {
+        let stream: VecDeque<TenantRequest> = merged_stream(tenants, config).into();
+        let buckets = tenants.iter().map(|t| TokenBucket::new(t.rate_limit));
+        let mut window_opens: Vec<(TimeSecs, FaultSite)> = match chaos {
+            Some(c) if obs.is_enabled() => c.windows().iter().map(|w| (w.start, w.site)).collect(),
+            _ => Vec::new(),
         };
         window_opens.sort_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()));
-        let mut next_window = 0usize;
+        TenancyEngine {
+            tracer: cluster.tracer().clone(),
+            cluster,
+            chaos,
+            autoscaler,
+            policies,
+            obs,
+            chaos_events: chaos.map(|c| c.events()).unwrap_or_default().into(),
+            window_opens: window_opens.into(),
+            buckets: buckets.collect(),
+            queues: Default::default(),
+            inflight: Vec::new(),
+            clock: TimeSecs::ZERO,
+            transfer_debt: TimeSecs::ZERO,
+            last_placement_wave: None,
+            report: TenancyReport {
+                records: Vec::new(),
+                shed: Vec::new(),
+                scale_events: Vec::new(),
+                waves: 0,
+                makespan: TimeSecs::ZERO,
+                submitted: stream.len(),
+                admitted: 0,
+                pending: 0,
+                preemptions: 0,
+                rehomed_experts: 0,
+                expert_hits: 0,
+                expert_misses: 0,
+                switch_time: TimeSecs::ZERO,
+                chaos_retransmits: 0,
+                chaos_slowdowns: 0,
+                final_nodes: 0,
+                wave_features: Vec::new(),
+                tenants: tenants.iter().map(|t| (t.name.clone(), t.class)).collect(),
+                config: config.clone(),
+                policy: None,
+            },
+            stream,
+        }
+    }
 
-        let shed_one = |shed: &mut Vec<ShedRecord>,
-                        wave: usize,
-                        tenant: usize,
-                        class: SloClass,
-                        submit: usize,
-                        arrival: TimeSecs,
-                        at: TimeSecs,
-                        reason: ShedReason,
-                        was_admitted: bool| {
-            shed.push(ShedRecord {
-                tenant,
-                class,
-                submit,
-                arrival,
-                at,
-                reason,
-                was_admitted,
+    fn run(mut self) -> Result<TenancyReport, CoeError> {
+        loop {
+            self.admit_arrivals();
+            if self.is_idle() {
+                // Idle: jump model time to the next arrival, or finish.
+                let Some(next) = self.stream.front() else {
+                    break;
+                };
+                self.clock = self.clock.max(next.arrival);
+                continue;
+            }
+            self.apply_chaos();
+            self.shed_expired();
+            if self.is_idle() {
+                continue;
+            }
+            if self.cluster.healthy_nodes() == 0 {
+                // Total outage: wait for a scheduled recovery, else shed out.
+                let Some(at) = self.next_restore() else { break };
+                self.clock = self.clock.max(at);
+                continue;
+            }
+            if self.report.waves >= self.report.config.max_waves {
+                break;
+            }
+            self.autoscale();
+            self.place();
+            let (wave, capacity) = self.compose();
+            let Some(served) = self.serve(&wave, capacity)? else {
+                // Fault-plan draws downed the rest mid-wave: requeue in
+                // order and let the outage check decide next iteration.
+                for p in wave.into_iter().rev() {
+                    self.queues[p.req.class as usize].push_front(p);
+                }
+                continue;
+            };
+            self.settle(wave, &served);
+            self.check_conservation();
+            self.prefetch(&served);
+            self.wave_observed(served.feature);
+        }
+        Ok(self.finish())
+    }
+
+    fn is_idle(&self) -> bool {
+        self.queues.iter().all(VecDeque::is_empty) && self.inflight.is_empty()
+    }
+
+    /// Every request taken from the stream sits in exactly one place:
+    /// completed, shed, queued, or in flight.
+    fn check_conservation(&self) {
+        let queued: usize = self.queues.iter().map(VecDeque::len).sum();
+        debug_assert_eq!(
+            self.report.submitted - self.stream.len(),
+            self.report.records.len() + self.report.shed.len() + queued + self.inflight.len(),
+            "wave {} lost or duplicated a request",
+            self.report.waves
+        );
+    }
+
+    /// Takes the next submitted request if it arrived by `by`.
+    fn take_request(&mut self, by: TimeSecs) -> Option<TenantRequest> {
+        let r = self.stream.pop_front_if(|r| r.arrival <= by)?;
+        self.tracer.count(Counter::TenantRequests, 1);
+        Some(r)
+    }
+
+    /// Ingress: admit (or shed) everything that has arrived.
+    fn admit_arrivals(&mut self) {
+        while let Some(r) = self.take_request(self.clock) {
+            if !self.buckets[r.tenant].admit(r.arrival) {
+                self.shed(&r, r.arrival, ShedReason::RateLimited, false);
+                continue;
+            }
+            let policy = *self.report.config.policy(r.class);
+            let queue = &mut self.queues[r.class as usize];
+            if queue.len() >= policy.queue_cap {
+                self.shed(&r, r.arrival, ShedReason::QueueFull, false);
+                continue;
+            }
+            queue.push_back(Pending {
+                req: r,
+                admitted: None,
+                first_token: None,
+                chunks_left: policy.chunks.max(1),
+                preemptions: 0,
             });
-            tracer.count(Counter::RequestsShed, 1);
-            if obs.is_enabled() {
-                let tenant_name = tenants[tenant].name.as_str();
-                let class_name = class.name();
-                let labels = [("slo_class", class_name), ("tenant", tenant_name)];
-                obs.add("requests_shed", &labels, 1.0);
-                obs.add(
-                    "requests_shed_by_reason",
-                    &[
-                        ("reason", reason.name()),
-                        ("slo_class", class_name),
-                        ("tenant", tenant_name),
-                    ],
-                    1.0,
-                );
-                // Sheds burn SLO budget: a request the platform lost is a
-                // bad outcome for its tenant's error budget.
-                obs.add("slo_bad", &labels, 1.0);
-                obs.add("slo_total", &labels, 1.0);
-                obs.event(
-                    wave,
-                    at,
-                    None,
-                    "shed",
-                    &format!("{tenant_name} {}", reason.name()),
-                    1.0,
-                );
+            self.report.admitted += 1;
+            self.tracer.count(Counter::RequestsAdmitted, 1);
+        }
+    }
+
+    /// Chaos timeline: crashes and restores due by now, then the fault
+    /// windows opening by now, each of which starts a post-mortem capture
+    /// (a crash window here is redundant with the crash event; the
+    /// recorder extends the open capture instead of forking a second one).
+    fn apply_chaos(&mut self) {
+        let (wave, clock) = (self.report.waves, self.clock);
+        while let Some(ev) = self.chaos_events.pop_front_if(|e| e.at <= clock) {
+            if ev.node >= self.cluster.nodes() {
+                continue;
+            }
+            let kind = match ev.kind {
+                ChaosEventKind::Crash => {
+                    self.cluster.fail_node(ev.node);
+                    "node_crash"
+                }
+                ChaosEventKind::Restore => {
+                    self.cluster.restore_node(ev.node);
+                    "node_restore"
+                }
+            };
+            self.obs.event(wave, clock, Some(ev.node), kind, "", 0.0);
+            if ev.kind == ChaosEventKind::Crash {
+                self.obs.incident("chaos_outage", wave, clock);
+            }
+        }
+        while let Some((start, site)) = self.window_opens.pop_front_if(|w| w.0 <= clock) {
+            let name = site.name();
+            self.obs
+                .event(wave, clock, None, "fault_window_open", name, 0.0);
+            let trigger = format!("fault_window:{name}");
+            self.obs.incident(&trigger, wave, start.max(clock));
+        }
+    }
+
+    /// Deadline sheds: queues are arrival-ordered, pop stale fronts.
+    fn shed_expired(&mut self) {
+        let clock = self.clock;
+        for class in [SloClass::Interactive, SloClass::Batch] {
+            let deadline = self.report.config.policy(class).deadline;
+            let queue = class as usize;
+            let stale = |p: &mut Pending| clock - p.req.arrival > deadline;
+            while let Some(p) = self.queues[queue].pop_front_if(stale) {
+                self.shed(&p.req, clock, ShedReason::TimedOut, true);
+            }
+        }
+    }
+
+    /// The next scheduled restore of a node that exists, if any.
+    fn next_restore(&self) -> Option<TimeSecs> {
+        let nodes = self.cluster.nodes();
+        let restore = |e: &&ChaosEvent| e.kind == ChaosEventKind::Restore && e.node < nodes;
+        self.chaos_events.iter().find(restore).map(|e| e.at)
+    }
+
+    /// Capacity control at the wave boundary.
+    fn autoscale(&mut self) {
+        let Some(controller) = self.autoscaler.as_deref_mut() else {
+            return;
+        };
+        let from_nodes = self.cluster.healthy_nodes();
+        let decision = controller.evaluate(from_nodes);
+        let rebalance = match decision {
+            ScaleDecision::Hold => return,
+            ScaleDecision::Up => {
+                self.cluster.add_node();
+                self.cluster.rebalance_experts()
+            }
+            ScaleDecision::Down => {
+                let failed = self.cluster.failed_nodes();
+                let victim = (0..self.cluster.nodes()).rfind(|i| !failed.contains(i));
+                match victim.map(|v| self.cluster.drain_node(v)) {
+                    Some(Ok(rebalance)) => rebalance,
+                    _ => return,
+                }
             }
         };
+        self.scaled(decision, from_nodes, rebalance);
+    }
 
-        'serve: loop {
-            // Ingress: admit (or shed) everything that has arrived.
-            while next_request < stream.len() && stream[next_request].arrival <= clock {
-                let r = &stream[next_request];
-                next_request += 1;
-                tracer.count(Counter::TenantRequests, 1);
-                let policy = config.policy(r.class);
-                if !buckets[r.tenant].admit(r.arrival) {
-                    shed_one(
-                        &mut shed,
-                        waves,
-                        r.tenant,
-                        r.class,
-                        r.submit,
-                        r.arrival,
-                        r.arrival,
-                        ShedReason::RateLimited,
-                        false,
-                    );
-                    continue;
-                }
-                let queue = match r.class {
-                    SloClass::Interactive => &mut iq,
-                    SloClass::Batch => &mut bq,
-                };
-                if queue.len() >= policy.queue_cap {
-                    shed_one(
-                        &mut shed,
-                        waves,
-                        r.tenant,
-                        r.class,
-                        r.submit,
-                        r.arrival,
-                        r.arrival,
-                        ShedReason::QueueFull,
-                        false,
-                    );
-                    continue;
-                }
-                admitted_count += 1;
-                tracer.count(Counter::RequestsAdmitted, 1);
-                queue.push_back(Pending {
-                    tenant: r.tenant,
-                    class: r.class,
-                    submit: r.submit,
-                    prompt: r.prompt.clone(),
-                    arrival: r.arrival,
-                    admitted: None,
-                    first_token: None,
-                    chunks_left: policy.chunks.max(1),
-                    output_tokens: policy.chunks.max(1) * config.wave_tokens,
-                    preemptions: 0,
-                });
+    /// Stats-driven placement on its cadence: replicate hot experts,
+    /// spread cold ones. Weight movement is backgroundable (it joins the
+    /// transfer debt, not the serving path).
+    fn place(&mut self) {
+        let wave = self.report.waves;
+        let Some(pol) = self.policies.as_deref_mut() else {
+            return;
+        };
+        if !pol.placement_due(wave as u64) || self.last_placement_wave == Some(wave) {
+            return;
+        }
+        self.last_placement_wave = Some(wave);
+        if let Some(plan) = pol.plan_placement(&self.cluster.placement_view()) {
+            if !plan.is_empty() {
+                let applied = self.cluster.apply_placement(&plan);
+                pol.report.experts_replicated += applied.replicated;
+                pol.report.cold_moves += applied.moves;
+                self.transfer_debt += applied.transfer_time;
             }
+        }
+    }
 
-            // Idle: jump model time to the next arrival, or finish.
-            if iq.is_empty() && bq.is_empty() && inflight.is_empty() {
-                if next_request >= stream.len() {
-                    break 'serve;
-                }
-                clock = clock.max(stream[next_request].arrival);
-                continue 'serve;
-            }
+    /// Composes the wave: continuing interactive, new interactive, then
+    /// batch into whatever slots remain — interactive demand preempts
+    /// in-flight batch at this boundary. Returns the wave and its slot
+    /// capacity.
+    fn compose(&mut self) -> (Vec<Pending>, usize) {
+        let capacity = self.report.config.per_node_slots.max(1) * self.cluster.healthy_nodes();
+        let (mut wave, mut continuing_batch): (Vec<Pending>, Vec<Pending>) = self
+            .inflight
+            .drain(..)
+            .partition(|p| p.req.class == SloClass::Interactive);
+        self.fill(&mut wave, SloClass::Interactive, capacity);
+        let room = capacity.saturating_sub(wave.len());
+        let bumped = continuing_batch.split_off(room.min(continuing_batch.len()));
+        wave.append(&mut continuing_batch);
+        for mut p in bumped.into_iter().rev() {
+            p.preemptions += 1;
+            self.report.preemptions += 1;
+            self.tracer.count(Counter::RequestsPreempted, 1);
+            self.queues[SloClass::Batch as usize].push_front(p);
+        }
+        self.fill(&mut wave, SloClass::Batch, capacity);
+        (wave, capacity)
+    }
 
-            // Chaos timeline: crashes and restores due by now.
-            while next_event < chaos_events.len() && chaos_events[next_event].at <= clock {
-                let ev = chaos_events[next_event];
-                next_event += 1;
-                if ev.node >= self.nodes() {
-                    continue;
-                }
-                match ev.kind {
-                    ChaosEventKind::Crash => {
-                        self.fail_node(ev.node);
-                        obs.event(waves, clock, Some(ev.node), "node_crash", "", 0.0);
-                        obs.incident("chaos_outage", waves, clock);
-                    }
-                    ChaosEventKind::Restore => {
-                        self.restore_node(ev.node);
-                        obs.event(waves, clock, Some(ev.node), "node_restore", "", 0.0);
-                    }
-                }
-            }
-
-            // Chaos fault windows opening by now each start a post-mortem
-            // capture (a crash window here is redundant with the crash
-            // event above; the recorder extends the open capture instead
-            // of forking a second one).
-            while next_window < window_opens.len() && window_opens[next_window].0 <= clock {
-                let (start, site) = window_opens[next_window];
-                next_window += 1;
-                obs.event(waves, clock, None, "fault_window_open", site.name(), 0.0);
-                obs.incident(
-                    &format!("fault_window:{}", site.name()),
-                    waves,
-                    start.max(clock),
-                );
-            }
-
-            // Deadline sheds: queues are arrival-ordered, pop stale fronts.
-            for (queue, policy) in [(&mut iq, &config.interactive), (&mut bq, &config.batch)] {
-                while let Some(front) = queue.front() {
-                    if clock - front.arrival > policy.deadline {
-                        let p = queue.pop_front().expect("peeked");
-                        shed_one(
-                            &mut shed,
-                            waves,
-                            p.tenant,
-                            p.class,
-                            p.submit,
-                            p.arrival,
-                            clock,
-                            ShedReason::TimedOut,
-                            true,
-                        );
-                    } else {
-                        break;
-                    }
-                }
-            }
-            if iq.is_empty() && bq.is_empty() && inflight.is_empty() {
-                continue 'serve;
-            }
-
-            // Total outage: wait for a scheduled recovery, else shed out.
-            if self.healthy_nodes() == 0 {
-                let revival = chaos_events[next_event..]
-                    .iter()
-                    .find(|e| e.kind == ChaosEventKind::Restore && e.node < self.nodes());
-                match revival {
-                    Some(e) => {
-                        clock = clock.max(e.at);
-                        continue 'serve;
-                    }
-                    None => break 'serve,
-                }
-            }
-
-            // Wave budget safety valve.
-            if waves >= config.max_waves {
-                break 'serve;
-            }
-
-            // Capacity control at the wave boundary.
-            if let Some(controller) = autoscaler.as_deref_mut() {
-                let healthy = self.healthy_nodes();
-                match controller.evaluate(healthy) {
-                    ScaleDecision::Hold => {}
-                    ScaleDecision::Up => {
-                        self.add_node();
-                        let rebalance = self.rebalance_experts();
-                        tracer.count(Counter::ScaleUps, 1);
-                        scale_events.push(ScaleEvent {
-                            wave: waves,
-                            at: clock,
-                            decision: ScaleDecision::Up,
-                            from_nodes: healthy,
-                            to_nodes: self.healthy_nodes(),
-                            moved_experts: rebalance.moved_experts,
-                            transfer_time: rebalance.transfer_time,
-                        });
-                        obs.event(
-                            waves,
-                            clock,
-                            None,
-                            "scale_up",
-                            "",
-                            rebalance.moved_experts as f64,
-                        );
-                    }
-                    ScaleDecision::Down => {
-                        let victim = (0..self.nodes())
-                            .rev()
-                            .find(|i| !self.failed_nodes().contains(i));
-                        if let Some(victim) = victim {
-                            if let Ok(rebalance) = self.drain_node(victim) {
-                                tracer.count(Counter::ScaleDowns, 1);
-                                scale_events.push(ScaleEvent {
-                                    wave: waves,
-                                    at: clock,
-                                    decision: ScaleDecision::Down,
-                                    from_nodes: healthy,
-                                    to_nodes: self.healthy_nodes(),
-                                    moved_experts: rebalance.moved_experts,
-                                    transfer_time: rebalance.transfer_time,
-                                });
-                                obs.event(
-                                    waves,
-                                    clock,
-                                    None,
-                                    "scale_down",
-                                    "",
-                                    rebalance.moved_experts as f64,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Stats-driven placement on its cadence: replicate hot
-            // experts, spread cold ones. Weight movement is backgroundable
-            // (it joins the transfer debt, not the serving path).
-            if let Some(pol) = policies.as_deref_mut() {
-                if pol.placement_due(waves as u64) && last_placement_wave != Some(waves) {
-                    last_placement_wave = Some(waves);
-                    if let Some(plan) = pol.plan_placement(&self.placement_view()) {
-                        if !plan.is_empty() {
-                            let applied = self.apply_placement(&plan);
-                            pol.report.experts_replicated += applied.replicated;
-                            pol.report.cold_moves += applied.moves;
-                            transfer_debt += applied.transfer_time;
-                        }
-                    }
-                }
-            }
-
-            // Compose the wave: continuing interactive, new interactive,
-            // then batch into whatever slots remain — interactive demand
-            // preempts in-flight batch at this boundary.
-            let capacity = config.per_node_slots.max(1) * self.healthy_nodes();
-            let mut wave: Vec<Pending> = Vec::new();
-            let mut continuing_batch: Vec<Pending> = Vec::new();
-            for p in inflight.drain(..) {
-                match p.class {
-                    SloClass::Interactive => wave.push(p),
-                    SloClass::Batch => continuing_batch.push(p),
-                }
-            }
-            while wave.len() < capacity {
-                let Some(mut p) = iq.pop_front() else { break };
-                if p.admitted.is_none() {
-                    p.admitted = Some(clock);
-                }
-                wave.push(p);
-            }
-            let mut bumped: Vec<Pending> = Vec::new();
-            for mut p in continuing_batch {
-                if wave.len() < capacity {
-                    wave.push(p);
-                } else {
-                    p.preemptions += 1;
-                    preemptions += 1;
-                    tracer.count(Counter::RequestsPreempted, 1);
-                    bumped.push(p);
-                }
-            }
-            for p in bumped.into_iter().rev() {
-                bq.push_front(p);
-            }
-            while wave.len() < capacity {
-                let Some(mut p) = bq.pop_front() else { break };
-                if p.admitted.is_none() {
-                    p.admitted = Some(clock);
-                }
-                wave.push(p);
-            }
-
-            // Serve it.
-            let slots: Vec<WaveSlot> = wave
-                .iter()
-                .map(|p| WaveSlot {
-                    prompt: p.prompt.clone(),
-                    prefill: p.first_token.is_none(),
-                })
-                .collect();
-            // Composition counts for the per-wave feature snapshot —
-            // taken here because the settle loop consumes `wave`.
-            let interactive_slots = wave
-                .iter()
-                .filter(|p| p.class == SloClass::Interactive)
-                .count();
-            let prefill_slots = slots.iter().filter(|s| s.prefill).count();
-            let outcome = match self.serve_wave(&slots, config.wave_tokens) {
-                Ok(outcome) => outcome,
-                Err(CoeError::NoHealthyNodes) => {
-                    // Fault-plan draws downed the rest mid-wave: requeue
-                    // and let the outage branch decide next iteration.
-                    let mut interactive: Vec<Pending> = Vec::new();
-                    let mut batch: Vec<Pending> = Vec::new();
-                    for p in wave {
-                        match p.class {
-                            SloClass::Interactive => interactive.push(p),
-                            SloClass::Batch => batch.push(p),
-                        }
-                    }
-                    for p in interactive.into_iter().rev() {
-                        iq.push_front(p);
-                    }
-                    for p in batch.into_iter().rev() {
-                        bq.push_front(p);
-                    }
-                    continue 'serve;
-                }
-                Err(e) => return Err(e),
+    /// Fills `wave` up to `capacity` from the front of `class`'s queue,
+    /// stamping first admission at the clock.
+    fn fill(&mut self, wave: &mut Vec<Pending>, class: SloClass, capacity: usize) {
+        while wave.len() < capacity {
+            let Some(mut p) = self.queues[class as usize].pop_front() else {
+                break;
             };
-            waves += 1;
-            tracer.count(Counter::AdmissionWaves, 1);
-            rehomed += outcome.rehomed_experts;
-            expert_hits += outcome.expert_hits;
-            expert_misses += outcome.expert_misses;
-            switch_time += outcome.switch_time;
+            p.admitted.get_or_insert(self.clock);
+            wave.push(p);
+        }
+    }
 
-            // Chaos fault windows degrade the wave fabric: a slowdown
-            // stretches the wave, a failure retransmits it (×2).
-            let mut factor = 1.0;
-            if let Some(c) = chaos {
-                match c.decide(FaultSite::SocketLink, clock) {
-                    FaultDecision::Ok => {}
-                    FaultDecision::Slow(f) => {
-                        factor = f;
-                        slowdowns += 1;
-                    }
-                    FaultDecision::Fail => {
-                        factor = 2.0;
-                        retransmits += 1;
-                    }
-                }
+    /// Serves the wave, stretches it by the chaos fabric factor, and
+    /// drains the transfer debt against it. `None` when fault-plan draws
+    /// downed every node mid-wave.
+    fn serve(&mut self, wave: &[Pending], capacity: usize) -> Result<Option<ServedWave>, CoeError> {
+        let slots: Vec<WaveSlot> = wave
+            .iter()
+            .map(|p| WaveSlot {
+                prompt: p.req.prompt.clone(),
+                prefill: p.first_token.is_none(),
+            })
+            .collect();
+        let outcome = match self
+            .cluster
+            .serve_wave(&slots, self.report.config.wave_tokens)
+        {
+            Ok(outcome) => outcome,
+            Err(CoeError::NoHealthyNodes) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        self.report.rehomed_experts += outcome.rehomed_experts;
+        self.report.expert_hits += outcome.expert_hits;
+        self.report.expert_misses += outcome.expert_misses;
+        self.report.switch_time += outcome.switch_time;
+
+        // Chaos fault windows degrade the wave fabric: a slowdown
+        // stretches the wave, a failure retransmits it (×2).
+        let start = self.clock;
+        let factor = match self.chaos.map(|c| c.decide(FaultSite::SocketLink, start)) {
+            None | Some(FaultDecision::Ok) => 1.0,
+            Some(FaultDecision::Slow(f)) => {
+                self.report.chaos_slowdowns += 1;
+                f
             }
-            let wave_start = clock;
-            let wave_latency = if factor == 1.0 {
-                outcome.latency
-            } else {
-                outcome.latency * factor
-            };
-            clock = wave_start + wave_latency;
-
-            // Drain background-transfer debt against this wave: the wave's
-            // compute hides what it can; the rest stalls the clock.
-            if !transfer_debt.is_zero() {
-                let hidden =
-                    TimeSecs::from_secs(transfer_debt.as_secs().min(wave_latency.as_secs()));
-                let exposed = transfer_debt - hidden;
-                if !exposed.is_zero() {
-                    clock += exposed;
-                    if let Some(pol) = policies.as_deref_mut() {
-                        pol.report.transfer_exposed += exposed;
-                    }
-                }
-                transfer_debt = TimeSecs::ZERO;
+            Some(FaultDecision::Fail) => {
+                self.report.chaos_retransmits += 1;
+                2.0
             }
+        };
+        let latency = stretch(outcome.latency, factor);
+        self.clock = start + latency;
 
-            // Settle slots: complete, keep in flight, or shed drops.
-            for (i, mut p) in wave.into_iter().enumerate() {
-                match outcome.placements[i] {
-                    WavePlacement::Dropped => {
-                        if let Some(pol) = policies.as_deref_mut() {
-                            if let Some(kv) = pol.kv.as_mut() {
-                                kv.finish(p.submit as u64);
-                            }
-                        }
-                        shed_one(
-                            &mut shed,
-                            waves - 1,
-                            p.tenant,
-                            p.class,
-                            p.submit,
-                            p.arrival,
-                            clock,
-                            ShedReason::CapacityLost,
-                            true,
-                        );
-                    }
-                    WavePlacement::Served {
-                        first_token, done, ..
-                    } => {
-                        if p.first_token.is_none() {
-                            let offset = if factor == 1.0 {
-                                first_token
-                            } else {
-                                first_token * factor
-                            };
-                            p.first_token = Some(wave_start + offset);
-                        }
-                        p.chunks_left -= 1;
-                        // Paged KV: the request's context grew by one
-                        // chunk. Evictions are pressure; refaulted live
-                        // pages refill DDR→HBM as background debt.
-                        if let Some(pol) = policies.as_deref_mut() {
-                            if let Some(kv) = pol.kv.as_mut() {
-                                let total = config.policy(p.class).chunks.max(1);
-                                let done_chunks = total - p.chunks_left;
-                                let tokens =
-                                    config.prompt_tokens + done_chunks * config.wave_tokens;
-                                let touch = kv.touch(p.submit as u64, tokens);
-                                if touch.evicted > 0 {
-                                    tracer.count(Counter::KvPagesEvicted, touch.evicted);
-                                }
-                                if touch.refaulted > 0 {
-                                    let bytes = kv.config().page_bytes * touch.refaulted;
-                                    transfer_debt += bytes / kv_switch_bandwidth;
-                                }
-                                if p.chunks_left == 0 {
-                                    kv.finish(p.submit as u64);
-                                }
-                            }
-                        }
-                        if p.chunks_left > 0 {
-                            inflight.push(p);
-                            continue;
-                        }
-                        let offset = if factor == 1.0 { done } else { done * factor };
-                        let record = TenantRecord {
-                            tenant: p.tenant,
-                            class: p.class,
-                            submit: p.submit,
-                            arrival: p.arrival,
-                            admitted: p.admitted.expect("served implies admitted"),
-                            first_token: p.first_token.expect("first chunk set it"),
-                            completed: wave_start + offset,
-                            output_tokens: p.output_tokens,
-                            preemptions: p.preemptions,
-                        };
-                        if record.class == SloClass::Interactive {
-                            if let Some(controller) = autoscaler.as_deref_mut() {
-                                controller.observe(BatchObservation {
-                                    latency: record.latency(),
-                                    ttft: record.ttft(),
-                                    prompts: 1,
-                                    tokens: record.output_tokens,
-                                    hbm_bytes: Bytes::ZERO,
-                                    ddr_bytes: Bytes::ZERO,
-                                });
-                            }
-                        }
-                        if obs.is_enabled() {
-                            let tenant_name = tenants[record.tenant].name.as_str();
-                            let labels =
-                                [("slo_class", record.class.name()), ("tenant", tenant_name)];
-                            obs.add("completions", &labels, 1.0);
-                            obs.add("slo_total", &labels, 1.0);
-                            if record.latency() > config.policy(record.class).slo_bound {
-                                obs.add("slo_bad", &labels, 1.0);
-                            }
-                        }
-                        records.push(record);
-                    }
-                }
-            }
-
-            // Router statistics + predictive prefetch at the wave
-            // boundary: observe where this wave's router pass went, then
-            // stage the predicted-hot set for the *next* wave (stale
-            // speculation expires as wasted bandwidth at the next
-            // boundary). No-ops without a policy bundle.
-            if let Some(pol) = policies.as_deref_mut() {
-                let active: Vec<usize> = slots
-                    .iter()
-                    .map(|s| self.routed_expert(&s.prompt))
-                    .collect();
-                pol.stats.observe_wave(&active);
-                let candidates = pol.prefetch_candidates();
-                if !candidates.is_empty() {
-                    let cap = pol.max_prefetch_per_wave();
-                    let issued = self.prefetch_experts(&candidates, &outcome.prompts_per_node, cap);
-                    pol.report.prefetch_issued += issued.issued;
-                    transfer_debt += issued.transfer_time;
-                }
-            }
-
-            // Per-wave feature snapshot: pure readers of state the loop
-            // already computed, recorded unconditionally so observed and
-            // blind runs carry identical streams.
-            wave_features.push(WaveFeature {
-                wave: waves - 1,
-                start: wave_start,
-                latency: wave_latency,
-                slots: slots.len(),
-                capacity,
-                interactive_slots,
-                batch_slots: slots.len() - interactive_slots,
-                prefill_slots,
-                queue_interactive: iq.len(),
-                queue_batch: bq.len(),
-                healthy_nodes: self.healthy_nodes(),
-                expert_hits: outcome.expert_hits,
-                expert_misses: outcome.expert_misses,
-                chaos_factor: factor,
-            });
-
-            // Wave boundary: flush this wave's gauges into the telemetry
-            // pipeline, evaluate alert rules, tick the flight recorder.
-            // Pure readers of loop state — with obs disabled (or enabled)
-            // the serving timeline is bit-identical.
-            if obs.is_enabled() {
-                let wave_idx = waves - 1;
-                obs.gauge("wave_latency_ms", &[], wave_latency.as_secs() * 1e3);
-                obs.gauge("healthy_nodes", &[], self.healthy_nodes() as f64);
-                let activations = outcome.expert_hits + outcome.expert_misses;
-                if activations > 0 {
-                    obs.gauge(
-                        "hbm_hit_rate",
-                        &[],
-                        outcome.expert_hits as f64 / activations as f64,
-                    );
-                }
-                obs.gauge(
-                    "queue_depth",
-                    &[("slo_class", "interactive")],
-                    iq.len() as f64,
-                );
-                obs.gauge("queue_depth", &[("slo_class", "batch")], bq.len() as f64);
-                let seen = obs.end_wave(wave_idx, clock);
-                if seen.fired > 0 {
-                    tracer.count(Counter::AlertsFired, seen.fired as u64);
-                }
-                if seen.resolved > 0 {
-                    tracer.count(Counter::AlertsResolved, seen.resolved as u64);
-                }
-                if seen.postmortem_closed {
-                    tracer.count(Counter::PostmortemsCaptured, 1);
-                }
+        // Drain background-transfer debt against this wave: the wave's
+        // compute hides what it can; the rest stalls the clock.
+        let debt = take(&mut self.transfer_debt);
+        let exposed = debt - TimeSecs::from_secs(debt.as_secs().min(latency.as_secs()));
+        if !exposed.is_zero() {
+            self.clock += exposed;
+            if let Some(pol) = self.policies.as_deref_mut() {
+                pol.report.transfer_exposed += exposed;
             }
         }
 
+        let interactive_slots = wave
+            .iter()
+            .filter(|p| p.req.class == SloClass::Interactive)
+            .count();
+        let feature = WaveFeature {
+            wave: self.report.waves,
+            start,
+            latency,
+            slots: slots.len(),
+            capacity,
+            interactive_slots,
+            batch_slots: slots.len() - interactive_slots,
+            prefill_slots: slots.iter().filter(|s| s.prefill).count(),
+            queue_interactive: self.queues[SloClass::Interactive as usize].len(),
+            queue_batch: self.queues[SloClass::Batch as usize].len(),
+            healthy_nodes: self.cluster.healthy_nodes(),
+            expert_hits: outcome.expert_hits,
+            expert_misses: outcome.expert_misses,
+            chaos_factor: factor,
+        };
+        let served = ServedWave {
+            outcome,
+            slots,
+            feature,
+        };
+        Ok(Some(served))
+    }
+
+    /// Settles slots: complete, keep in flight, or shed drops.
+    fn settle(&mut self, wave: Vec<Pending>, served: &ServedWave) {
+        let (start, factor) = (served.feature.start, served.feature.chaos_factor);
+        for (mut p, placement) in wave.into_iter().zip(&served.outcome.placements) {
+            let WavePlacement::Served {
+                first_token, done, ..
+            } = *placement
+            else {
+                // Dropped: no survivor could host the slot's expert.
+                if let Some(kv) = self.policies.as_deref_mut().and_then(|pol| pol.kv.as_mut()) {
+                    kv.finish(p.req.submit as u64);
+                }
+                self.shed(&p.req, self.clock, ShedReason::CapacityLost, true);
+                continue;
+            };
+            p.first_token
+                .get_or_insert(start + stretch(first_token, factor));
+            p.chunks_left -= 1;
+            self.touch_kv(&p);
+            if p.chunks_left > 0 {
+                self.inflight.push(p);
+                continue;
+            }
+            let config = &self.report.config;
+            self.completed(TenantRecord {
+                tenant: p.req.tenant,
+                class: p.req.class,
+                submit: p.req.submit,
+                arrival: p.req.arrival,
+                admitted: p.admitted.expect("served implies admitted"),
+                first_token: p.first_token.expect("first chunk set it"),
+                completed: start + stretch(done, factor),
+                output_tokens: config.policy(p.req.class).chunks.max(1) * config.wave_tokens,
+                preemptions: p.preemptions,
+            });
+        }
+    }
+
+    /// Paged KV: the request's context grew by one chunk. Evictions are
+    /// pressure; refaulted live pages refill DDR→HBM as background debt.
+    fn touch_kv(&mut self, p: &Pending) {
+        let Some(kv) = self.policies.as_deref_mut().and_then(|pol| pol.kv.as_mut()) else {
+            return;
+        };
+        let config = &self.report.config;
+        let done_chunks = config.policy(p.req.class).chunks.max(1) - p.chunks_left;
+        let tokens = config.prompt_tokens + done_chunks * config.wave_tokens;
+        let touch = kv.touch(p.req.submit as u64, tokens);
+        if touch.evicted > 0 {
+            self.tracer.count(Counter::KvPagesEvicted, touch.evicted);
+        }
+        if touch.refaulted > 0 {
+            let bytes = kv.config().page_bytes * touch.refaulted;
+            self.transfer_debt += bytes / self.cluster.node_spec().model_switch_bandwidth();
+        }
+        if p.chunks_left == 0 {
+            kv.finish(p.req.submit as u64);
+        }
+    }
+
+    /// Router statistics + predictive prefetch at the wave boundary:
+    /// observe where this wave's router pass went, then stage the
+    /// predicted-hot set for the *next* wave (stale speculation expires
+    /// as wasted bandwidth at the next boundary).
+    fn prefetch(&mut self, served: &ServedWave) {
+        let Some(pol) = self.policies.as_deref_mut() else {
+            return;
+        };
+        let route = |s: &WaveSlot| self.cluster.routed_expert(&s.prompt);
+        pol.stats
+            .observe_wave(&served.slots.iter().map(route).collect::<Vec<_>>());
+        let candidates = pol.prefetch_candidates();
+        if !candidates.is_empty() {
+            let cap = pol.max_prefetch_per_wave();
+            let loads = &served.outcome.prompts_per_node;
+            let issued = self.cluster.prefetch_experts(&candidates, loads, cap);
+            pol.report.prefetch_issued += issued.issued;
+            self.transfer_debt += issued.transfer_time;
+        }
+    }
+
+    /// Sheds a request: records it, counts it, and burns its tenant's
+    /// SLO budget in the telemetry pipeline.
+    fn shed(&mut self, r: &TenantRequest, at: TimeSecs, reason: ShedReason, was_admitted: bool) {
+        self.report.shed.push(ShedRecord {
+            tenant: r.tenant,
+            class: r.class,
+            submit: r.submit,
+            arrival: r.arrival,
+            at,
+            reason,
+            was_admitted,
+        });
+        self.tracer.count(Counter::RequestsShed, 1);
+        if self.obs.is_enabled() {
+            let tenant_name = self.report.tenants[r.tenant].0.as_str();
+            let labels = [("slo_class", r.class.name()), ("tenant", tenant_name)];
+            self.obs.add("requests_shed", &labels, 1.0);
+            let by_reason = [("reason", reason.name()), labels[0], labels[1]];
+            self.obs.add("requests_shed_by_reason", &by_reason, 1.0);
+            // Sheds burn SLO budget: a request the platform lost is a bad
+            // outcome for its tenant's error budget.
+            self.obs.add("slo_bad", &labels, 1.0);
+            self.obs.add("slo_total", &labels, 1.0);
+            let detail = format!("{tenant_name} {}", reason.name());
+            self.obs
+                .event(self.report.waves, at, None, "shed", &detail, 1.0);
+        }
+    }
+
+    /// Records an applied capacity action.
+    fn scaled(&mut self, decision: ScaleDecision, from_nodes: usize, rebalance: RebalanceReport) {
+        let (counter, kind) = if decision == ScaleDecision::Up {
+            (Counter::ScaleUps, "scale_up")
+        } else {
+            (Counter::ScaleDowns, "scale_down")
+        };
+        self.tracer.count(counter, 1);
+        let (wave, at, moved) = (self.report.waves, self.clock, rebalance.moved_experts);
+        self.report.scale_events.push(ScaleEvent {
+            wave,
+            at,
+            decision,
+            from_nodes,
+            to_nodes: self.cluster.healthy_nodes(),
+            moved_experts: moved,
+            transfer_time: rebalance.transfer_time,
+        });
+        self.obs.event(wave, at, None, kind, "", moved as f64);
+    }
+
+    /// Records a completion: interactive latencies feed the autoscaler,
+    /// and every completion counts toward its tenant's SLO.
+    fn completed(&mut self, record: TenantRecord) {
+        if record.class == SloClass::Interactive {
+            if let Some(controller) = self.autoscaler.as_deref_mut() {
+                controller.observe(BatchObservation {
+                    latency: record.latency(),
+                    ttft: record.ttft(),
+                    prompts: 1,
+                    tokens: record.output_tokens,
+                    hbm_bytes: Bytes::ZERO,
+                    ddr_bytes: Bytes::ZERO,
+                });
+            }
+        }
+        if self.obs.is_enabled() {
+            let tenant_name = self.report.tenants[record.tenant].0.as_str();
+            let labels = [("slo_class", record.class.name()), ("tenant", tenant_name)];
+            self.obs.add("completions", &labels, 1.0);
+            self.obs.add("slo_total", &labels, 1.0);
+            if record.latency() > self.report.config.policy(record.class).slo_bound {
+                self.obs.add("slo_bad", &labels, 1.0);
+            }
+        }
+        self.report.records.push(record);
+    }
+
+    /// Closes a served wave: counts it, keeps its feature snapshot, and
+    /// flushes its gauges into the telemetry pipeline. The snapshot and
+    /// the gauges only read state the wave already computed, so observed
+    /// and blind runs serve bit-identical timelines.
+    fn wave_observed(&mut self, f: WaveFeature) {
+        self.report.waves += 1;
+        self.tracer.count(Counter::AdmissionWaves, 1);
+        if self.obs.is_enabled() {
+            let obs = self.obs;
+            obs.gauge("wave_latency_ms", &[], f.latency.as_secs() * 1e3);
+            obs.gauge("healthy_nodes", &[], f.healthy_nodes as f64);
+            let activations = f.expert_hits + f.expert_misses;
+            if activations > 0 {
+                obs.gauge(
+                    "hbm_hit_rate",
+                    &[],
+                    f.expert_hits as f64 / activations as f64,
+                );
+            }
+            let (interactive, batch) = (f.queue_interactive as f64, f.queue_batch as f64);
+            obs.gauge("queue_depth", &[("slo_class", "interactive")], interactive);
+            obs.gauge("queue_depth", &[("slo_class", "batch")], batch);
+            self.end_obs_wave(f.wave);
+        }
+        self.report.wave_features.push(f);
+    }
+
+    /// Ends an obs wave at the clock: evaluates alert rules, ticks the
+    /// flight recorder, and counts the alert transitions and closed
+    /// post-mortems it reports.
+    fn end_obs_wave(&self, wave: usize) {
+        let seen = self.obs.end_wave(wave, self.clock);
+        if seen.fired > 0 {
+            self.tracer.count(Counter::AlertsFired, seen.fired as u64);
+        }
+        if seen.resolved > 0 {
+            self.tracer
+                .count(Counter::AlertsResolved, seen.resolved as u64);
+        }
+        if seen.postmortem_closed {
+            self.tracer.count(Counter::PostmortemsCaptured, 1);
+        }
+    }
+
+    /// Final drain and policy settle, then the report.
+    fn finish(mut self) -> TenancyReport {
         // Whatever is still in the system (total outage or wave budget)
         // sheds as capacity loss; requests never ingested shed at their
         // arrival, un-admitted.
-        for p in iq.drain(..).chain(bq.drain(..)).chain(inflight.drain(..)) {
-            shed_one(
-                &mut shed,
-                waves,
-                p.tenant,
-                p.class,
-                p.submit,
-                p.arrival,
-                clock,
-                ShedReason::CapacityLost,
-                true,
-            );
+        let left = take(&mut self.queues).into_iter().flatten();
+        for p in left.chain(take(&mut self.inflight)) {
+            self.shed(&p.req, self.clock, ShedReason::CapacityLost, true);
         }
-        while next_request < stream.len() {
-            let r = &stream[next_request];
-            next_request += 1;
-            tracer.count(Counter::TenantRequests, 1);
-            shed_one(
-                &mut shed,
-                waves,
-                r.tenant,
-                r.class,
-                r.submit,
-                r.arrival,
-                r.arrival.max(clock),
-                ShedReason::CapacityLost,
-                false,
-            );
+        while let Some(r) = self.take_request(TimeSecs::from_secs(f64::INFINITY)) {
+            let at = r.arrival.max(self.clock);
+            self.shed(&r, at, ShedReason::CapacityLost, false);
         }
 
-        // Settle the policy bundle: expire leftover speculation as
-        // waste, then fold the cluster's prefetch totals and the KV
-        // cache's conservation stats into the report.
-        if let Some(pol) = policies.as_deref_mut() {
-            self.expire_prefetches();
-            let (hits, wasted) = self.prefetch_totals();
-            pol.report.prefetch_hits = hits;
-            pol.report.prefetch_wasted = wasted;
+        // Settle the policy bundle: expire leftover speculation as waste,
+        // then fold the cluster's prefetch totals and the KV cache's
+        // conservation stats into the report.
+        if let Some(pol) = self.policies.as_deref_mut() {
+            self.cluster.expire_prefetches();
+            (pol.report.prefetch_hits, pol.report.prefetch_wasted) = self.cluster.prefetch_totals();
             if let Some(kv) = pol.kv.as_ref() {
                 pol.report.absorb_kv(kv.stats());
             }
@@ -1376,44 +1309,27 @@ impl CoeCluster {
 
         // One last boundary so final-drain sheds land in the series and a
         // still-open capture gets counted (finalize() will freeze it).
-        if obs.is_enabled() {
-            let seen = obs.end_wave(waves, clock);
-            if seen.fired > 0 {
-                tracer.count(Counter::AlertsFired, seen.fired as u64);
-            }
-            if seen.resolved > 0 {
-                tracer.count(Counter::AlertsResolved, seen.resolved as u64);
-            }
-            if seen.postmortem_closed {
-                tracer.count(Counter::PostmortemsCaptured, 1);
-            }
-            if obs.is_capturing() {
-                tracer.count(Counter::PostmortemsCaptured, 1);
+        if self.obs.is_enabled() {
+            self.end_obs_wave(self.report.waves);
+            if self.obs.is_capturing() {
+                self.tracer.count(Counter::PostmortemsCaptured, 1);
             }
         }
+        self.check_conservation();
+        self.report.makespan = self.clock;
+        self.report.final_nodes = self.cluster.healthy_nodes();
+        self.report.policy = self.policies.as_deref().map(|p| p.report);
+        self.report
+    }
+}
 
-        Ok(TenancyReport {
-            records,
-            shed,
-            scale_events,
-            waves,
-            makespan: clock,
-            submitted,
-            admitted: admitted_count,
-            pending: 0,
-            preemptions,
-            rehomed_experts: rehomed,
-            expert_hits,
-            expert_misses,
-            switch_time,
-            chaos_retransmits: retransmits,
-            chaos_slowdowns: slowdowns,
-            final_nodes: self.healthy_nodes(),
-            wave_features,
-            tenants: tenants.iter().map(|t| (t.name.clone(), t.class)).collect(),
-            config: config.clone(),
-            policy: policies.as_deref().map(|p| p.report),
-        })
+/// Scales a wave-relative offset by the chaos fabric factor (1.0 leaves
+/// it bit-exact).
+fn stretch(t: TimeSecs, factor: f64) -> TimeSecs {
+    if factor == 1.0 {
+        t
+    } else {
+        t * factor
     }
 }
 
@@ -1479,11 +1395,13 @@ mod tests {
     fn burst_of_interactive_requests_all_complete() {
         let mut cluster = cluster(2);
         let report = cluster
-            .serve_tenants(
+            .serve_tenants_observed(
                 &[interactive_tenant(12)],
                 &TenancyConfig::default(),
                 None,
                 None,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(report.submitted, 12);
@@ -1510,7 +1428,14 @@ mod tests {
             ..interactive_tenant(12)
         };
         let report = cluster
-            .serve_tenants(&[tenant], &TenancyConfig::default(), None, None)
+            .serve_tenants_observed(
+                &[tenant],
+                &TenancyConfig::default(),
+                None,
+                None,
+                None,
+                &Obs::disabled(),
+            )
             .unwrap();
         assert_eq!(report.shed_by(ShedReason::RateLimited), 7, "burst of 5");
         assert_eq!(report.records.len(), 5);
@@ -1524,7 +1449,14 @@ mod tests {
         let mut config = TenancyConfig::default();
         config.interactive.queue_cap = 4;
         let report = cluster
-            .serve_tenants(&[interactive_tenant(30)], &config, None, None)
+            .serve_tenants_observed(
+                &[interactive_tenant(30)],
+                &config,
+                None,
+                None,
+                None,
+                &Obs::disabled(),
+            )
             .unwrap();
         // A t = 0 burst of 30 hits a queue bounded at 4: the burst beyond
         // the cap sheds as backpressure.
@@ -1549,7 +1481,7 @@ mod tests {
             },
         ];
         let report = cluster
-            .serve_tenants(&tenants, &config, None, None)
+            .serve_tenants_observed(&tenants, &config, None, None, None, &Obs::disabled())
             .unwrap();
         assert!(report.preemptions > 0, "batch chunks must get bumped");
         assert!(report.conservation_holds());
@@ -1575,7 +1507,14 @@ mod tests {
         config.interactive.deadline = TimeSecs::from_millis(1.0);
         config.interactive.queue_cap = 64;
         let report = cluster
-            .serve_tenants(&[interactive_tenant(24)], &config, None, None)
+            .serve_tenants_observed(
+                &[interactive_tenant(24)],
+                &config,
+                None,
+                None,
+                None,
+                &Obs::disabled(),
+            )
             .unwrap();
         assert!(
             report.shed_by(ShedReason::TimedOut) > 0,
@@ -1603,7 +1542,14 @@ mod tests {
         );
         let tenants = [interactive_tenant(16), batch_tenant(16)];
         let report = cluster
-            .serve_tenants(&tenants, &config, Some(&chaos), None)
+            .serve_tenants_observed(
+                &tenants,
+                &config,
+                Some(&chaos),
+                None,
+                None,
+                &Obs::disabled(),
+            )
             .unwrap();
         assert!(report.conservation_holds());
         assert!(
@@ -1623,11 +1569,13 @@ mod tests {
         let mut cluster = cluster(2);
         let chaos = ChaosSchedule::new(1).with_outage(&[0, 1], TimeSecs::ZERO, None);
         let report = cluster
-            .serve_tenants(
+            .serve_tenants_observed(
                 &[interactive_tenant(6)],
                 &TenancyConfig::default(),
                 Some(&chaos),
                 None,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(report.records.len(), 0);
@@ -1660,7 +1608,14 @@ mod tests {
                     TimeSecs::from_millis(400.0),
                 );
             cluster
-                .serve_tenants(&tenants, &TenancyConfig::default(), Some(&chaos), None)
+                .serve_tenants_observed(
+                    &tenants,
+                    &TenancyConfig::default(),
+                    Some(&chaos),
+                    None,
+                    None,
+                    &Obs::disabled(),
+                )
                 .unwrap()
         };
         let a = run();
@@ -1691,7 +1646,14 @@ mod tests {
 
         let mut plain = cluster(2);
         let want = plain
-            .serve_tenants(&tenants, &config, Some(&chaos), None)
+            .serve_tenants_observed(
+                &tenants,
+                &config,
+                Some(&chaos),
+                None,
+                None,
+                &Obs::disabled(),
+            )
             .unwrap();
 
         let mut speculative = cluster(2);
@@ -1708,7 +1670,14 @@ mod tests {
             },
         );
         let mut got = speculative
-            .serve_tenants_with_policies(&tenants, &config, Some(&chaos), None, Some(&mut policies))
+            .serve_tenants_observed(
+                &tenants,
+                &config,
+                Some(&chaos),
+                None,
+                Some(&mut policies),
+                &Obs::disabled(),
+            )
             .unwrap();
 
         let policy = got.policy.take().expect("policy report attached");
@@ -1748,7 +1717,14 @@ mod tests {
             },
         );
         let report = cluster
-            .serve_tenants_with_policies(&tenants, &config, None, None, Some(&mut policies))
+            .serve_tenants_observed(
+                &tenants,
+                &config,
+                None,
+                None,
+                Some(&mut policies),
+                &Obs::disabled(),
+            )
             .unwrap();
         assert!(report.conservation_holds());
         let policy = report.policy.expect("policy report attached");
@@ -1774,11 +1750,13 @@ mod tests {
     fn policy_off_report_leaves_policy_field_empty() {
         let mut cluster = cluster(1);
         let report = cluster
-            .serve_tenants(
+            .serve_tenants_observed(
                 &[interactive_tenant(4)],
                 &TenancyConfig::default(),
                 None,
                 None,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
         assert!(report.policy.is_none());
@@ -1794,7 +1772,14 @@ mod tests {
     fn empty_tenant_list_yields_an_empty_report() {
         let mut cluster = cluster(1);
         let report = cluster
-            .serve_tenants(&[], &TenancyConfig::default(), None, None)
+            .serve_tenants_observed(
+                &[],
+                &TenancyConfig::default(),
+                None,
+                None,
+                None,
+                &Obs::disabled(),
+            )
             .unwrap();
         assert_eq!(report.submitted, 0);
         assert_eq!(report.waves, 0);

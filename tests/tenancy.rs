@@ -13,11 +13,14 @@ use common::topology::ClusterTopology;
 use common::{check_cases, CaseRng};
 use samba_coe::coe::scheduler::ArrivalPattern;
 use samba_coe::coe::{
-    ClassPolicy, RateLimit, ScaleDecision, ShedReason, SloClass, TenancyConfig, TenantSpec,
+    ClassPolicy, RateLimit, ScaleDecision, ServingPolicies, ShedReason, SloClass, TenancyConfig,
+    TenantSpec,
 };
 use samba_coe::faults::ChaosSchedule;
-use sn_arch::TimeSecs;
-use sn_bench::tenants;
+use samba_coe::trace::{Counter, Tracer};
+use sn_arch::{Bytes, TimeSecs};
+use sn_bench::{placement, tenants};
+use sn_obs::{AlertKind, Obs};
 
 const CASES: usize = 150;
 const JOBS: usize = 4;
@@ -196,7 +199,8 @@ fn shrink_case(case: &TenancyCase) -> Vec<TenancyCase> {
 }
 
 fn run_case(case: &TenancyCase) -> Result<(), String> {
-    let mut cluster = case.topology.build();
+    let tracer = Tracer::enabled();
+    let mut cluster = case.topology.build().with_tracer(tracer.clone());
     let config = TenancyConfig {
         seed: case.seed,
         prompt_tokens: case.topology.prompt_tokens,
@@ -244,8 +248,15 @@ fn run_case(case: &TenancyCase) -> Result<(), String> {
         )
     });
     let report = cluster
-        .serve_tenants(&tenants_spec, &config, chaos.as_ref(), None)
-        .map_err(|e| format!("serve_tenants failed: {e:?}"))?;
+        .serve_tenants_observed(
+            &tenants_spec,
+            &config,
+            chaos.as_ref(),
+            None,
+            None,
+            &Obs::disabled(),
+        )
+        .map_err(|e| format!("serve_tenants_observed failed: {e:?}"))?;
 
     let submitted = case.interactive_requests + case.batch_requests;
     if report.submitted != submitted {
@@ -265,6 +276,21 @@ fn run_case(case: &TenancyCase) -> Result<(), String> {
             report.shed_after_admission(),
             report.pending,
         ));
+    }
+    // Each event is counted once: the trace counters agree with the
+    // report they were emitted alongside.
+    let counters = [
+        (Counter::TenantRequests, report.submitted),
+        (Counter::RequestsAdmitted, report.admitted),
+        (Counter::RequestsShed, report.shed.len()),
+        (Counter::RequestsPreempted, report.preemptions),
+        (Counter::AdmissionWaves, report.waves),
+    ];
+    for (counter, want) in counters {
+        let got = tracer.counter(counter);
+        if got != want as u64 {
+            return Err(format!("{counter:?} counted {got}, report says {want}"));
+        }
     }
     // Every submit index appears exactly once across completions + sheds.
     let mut seen = vec![0usize; submitted];
@@ -314,5 +340,82 @@ fn conservation_holds_over_generated_chaos_scenarios() {
         shrink_case,
         || (),
         |(), case| run_case(case),
+    );
+}
+
+/// The one entry point with everything attached at once — autoscaler,
+/// a policy bundle whose paged KV cache runs under a tight budget,
+/// enabled obs and tracer — over the tenants chaos scenario: every
+/// scale, KV-eviction, replication, and alert counter agrees with the
+/// report it rode along with, and the observed run is bit-identical to a
+/// blind one.
+#[test]
+fn counters_agree_with_a_fully_attached_run() {
+    let load = 2.0;
+    let run = |tracer: Tracer, obs: &Obs| {
+        let mut config = tenants::sweep_config();
+        config.seed = tenants::SWEEP_SEED;
+        let mut controller = tenants::sweep_controller();
+        let mut policy_config = placement::sweep_policy_config();
+        if let Some(kv) = policy_config.kv.as_mut() {
+            kv.budget = Bytes::from_gib(1);
+        }
+        let mut policies = ServingPolicies::new(tenants::SWEEP_EXPERTS, policy_config);
+        tenants::sweep_cluster()
+            .with_tracer(tracer)
+            .serve_tenants_observed(
+                &tenants::sweep_tenants(load),
+                &config,
+                Some(&tenants::sweep_chaos(tenants::SWEEP_SEED)),
+                Some(&mut controller),
+                Some(&mut policies),
+                obs,
+            )
+            .expect("scenario serves")
+    };
+    let tracer = Tracer::enabled();
+    let obs = Obs::enabled(sn_bench::obs::obs_config(load));
+    let observed = run(tracer.clone(), &obs);
+    assert_eq!(
+        observed,
+        run(Tracer::disabled(), &Obs::disabled()),
+        "observing the run must not move it"
+    );
+
+    let scaled = |decision| {
+        observed
+            .scale_events
+            .iter()
+            .filter(|e| e.decision == decision)
+            .count() as u64
+    };
+    assert!(!observed.scale_events.is_empty(), "the autoscaler must act");
+    assert_eq!(tracer.counter(Counter::ScaleUps), scaled(ScaleDecision::Up));
+    assert_eq!(
+        tracer.counter(Counter::ScaleDowns),
+        scaled(ScaleDecision::Down)
+    );
+
+    let policy = observed.policy.expect("policy report attached");
+    assert!(policy.kv_pages_evicted > 0, "the KV budget must bite");
+    assert!(policy.experts_replicated > 0, "hot experts must replicate");
+    assert_eq!(
+        tracer.counter(Counter::KvPagesEvicted),
+        policy.kv_pages_evicted
+    );
+    assert_eq!(
+        tracer.counter(Counter::ExpertsReplicated),
+        policy.experts_replicated
+    );
+
+    let seen = obs.finalize().expect("obs enabled");
+    assert!(seen.alerts_of(AlertKind::Firing).count() > 0);
+    assert_eq!(
+        tracer.counter(Counter::AlertsFired),
+        seen.alerts_of(AlertKind::Firing).count() as u64
+    );
+    assert_eq!(
+        tracer.counter(Counter::AlertsResolved),
+        seen.alerts_of(AlertKind::Resolved).count() as u64
     );
 }
