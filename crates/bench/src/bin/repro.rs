@@ -4,7 +4,7 @@
 //! repro [--jobs N] [table1|table2|fig1|fig10|fig11|fig12|fig13|table3|ablations|--faults|all]
 //! repro [--jobs N] [--time] serve
 //! repro [--jobs N] tenants
-//! repro [--jobs N] placement
+//! repro [--jobs N] [--time] placement
 //! repro [--jobs N] [--obs out.json] obs
 //! repro [--jobs N] [--time] grid
 //! repro --trace [out.json]
@@ -17,8 +17,8 @@
 //! the deterministic ordered-merge engine (`sn_bench::par`); the default
 //! is the host's available parallelism and `--jobs 1` forces the legacy
 //! sequential path. Output is byte-identical for every N. `--time` adds
-//! wall-clock lines (1 job vs N jobs) to the serve sweep and the grid's
-//! wall-clock to `grid`.
+//! wall-clock lines (1 job vs N jobs) to the serve sweep, and the sweep's
+//! wall-clock to `placement` and `grid`.
 //!
 //! `--trace` replays the Figure 12 SN40L serving point (150 experts,
 //! BS=8) with structured tracing enabled, writes a Chrome-trace JSON
@@ -55,7 +55,8 @@
 //! `placement` sweeps the router-statistics serving policies (predictive
 //! prefetch, hot-expert replication, cold re-homing, paged KV cache)
 //! against the reactive baseline on one HBM-pressured chaos scenario,
-//! printing hit rate, switch-bound share, and prefetch-waste per row.
+//! printing hit rate, switch-bound share, and prefetch-waste per row,
+//! then a digest of every row's printed metrics.
 //!
 //! `grid` serves the tenant chaos scenario exactly at every cell of a
 //! 480-cell capacity grid (2..6 nodes × chaos on/off × standard or
@@ -375,7 +376,7 @@ fn run_tenants(jobs: usize) {
     );
 }
 
-fn run_placement(jobs: usize) {
+fn run_placement(jobs: usize, timed: bool) {
     use sn_bench::placement;
     hr(&format!(
         "PLACEMENT POLICIES: reactive vs stats-driven serving, {} experts on {} nodes, \
@@ -403,7 +404,9 @@ fn run_placement(jobs: usize) {
         "Moves",
         "KV in/ev"
     );
+    let wall = std::time::Instant::now();
     let points = placement::placement_sweep_jobs(jobs);
+    let sweep_ms = wall.elapsed().as_secs_f64() * 1e3;
     for p in &points {
         println!(
             "{:<6} {:<6} {:<6} {:>6} {:>11} {:>7.3} {:>11} {:>7.1}% {:>8} {:>6} {:>10} {:>6} \
@@ -439,6 +442,14 @@ fn run_placement(jobs: usize) {
          bandwidth (PfWasted).\nUnder the chaos rows the managed cluster holds a higher HBM hit \
          rate and sheds switch time\nrelative to the reactive baseline on the same scenario."
     );
+    println!(
+        "placement digest {:016x} over {} rows",
+        placement::placement_digest(&points),
+        points.len()
+    );
+    if timed {
+        println!("placement wall-clock {sweep_ms:.1} ms at {jobs} job(s)");
+    }
 }
 
 fn run_obs(jobs: usize, export: Option<&str>) {
@@ -814,7 +825,7 @@ fn main() {
         "faults" | "--faults" => run_faults(jobs),
         "serve" | "--serve" => run_serve(jobs, timed),
         "tenants" | "--tenants" => run_tenants(jobs),
-        "placement" | "--placement" => run_placement(jobs),
+        "placement" | "--placement" => run_placement(jobs, timed),
         "obs" => run_obs(jobs, obs_export.as_deref()),
         "grid" | "--grid" => run_grid(jobs, timed),
         "all" => {
@@ -830,7 +841,7 @@ fn main() {
             run_faults(jobs);
             run_serve(jobs, timed);
             run_tenants(jobs);
-            run_placement(jobs);
+            run_placement(jobs, timed);
             run_obs(jobs, obs_export.as_deref());
             run_grid(jobs, timed);
             run_ablations();

@@ -35,6 +35,7 @@ use sn_coe::{
 use sn_faults::{ChaosSchedule, FaultSite, FaultSpec};
 use sn_obs::Obs;
 use sn_profile::{Bound, MachineProfile, PhaseKind, PhaseSample, ServeAttribution};
+use std::hash::Hasher;
 
 /// Seed shared by every sweep point.
 pub const SWEEP_SEED: u64 = 0x51ac;
@@ -408,6 +409,33 @@ pub fn placement_sweep_jobs(jobs: usize) -> Vec<PlacementSweepPoint> {
 pub fn placement_sweep_seeded_jobs(seed: u64, jobs: usize) -> Vec<PlacementSweepPoint> {
     let grid = sweep_grid();
     crate::par::ordered_map(jobs, &grid, |_, &case| placement_point_seeded(seed, case))
+}
+
+/// Digest of every row's printed metrics in sweep order, so one line
+/// pins the whole table: waves, makespan, hit rate, switch time,
+/// switch-bound share, prefetch issued / accuracy / wasted bytes,
+/// replicas, cold moves, and KV pages in / evicted.
+pub fn placement_digest(points: &[PlacementSweepPoint]) -> u64 {
+    let mut h = sn_arch::hash::StableHasher::new();
+    for p in points {
+        for v in [
+            p.waves as u64,
+            p.makespan.as_secs().to_bits(),
+            p.hit_rate.to_bits(),
+            p.switch_time.as_secs().to_bits(),
+            p.switch_bound_fraction.to_bits(),
+            p.prefetch_issued,
+            p.prefetch_accuracy.to_bits(),
+            p.prefetch_wasted.as_u64(),
+            p.experts_replicated,
+            p.cold_moves,
+            p.kv_pages_in,
+            p.kv_pages_evicted,
+        ] {
+            h.write_u64(v);
+        }
+    }
+    h.finish()
 }
 
 #[cfg(test)]

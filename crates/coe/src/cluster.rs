@@ -938,9 +938,11 @@ impl CoeCluster {
                     report.transfer_time += rehome_time;
                 }
                 // The destination already holds the weights from an
-                // earlier adoption: the move is free.
+                // earlier adoption or as a replica: the move is free, and
+                // a replica it held is now the home.
                 Err(CoeError::Duplicate(_)) => {
                     self.homes[e] = dest;
+                    self.replicas[e].retain(|&n| n != dest);
                     counts[h] -= 1;
                     counts[dest] += 1;
                     report.moved_experts += 1;
@@ -1001,8 +1003,10 @@ impl CoeCluster {
                         placed = true;
                         break;
                     }
+                    // A replica holder becomes the home.
                     Err(CoeError::Duplicate(_)) => {
                         self.homes[e] = dest;
+                        self.replicas[e].retain(|&n| n != dest);
                         counts[node] -= 1;
                         counts[dest] += 1;
                         report.moved_experts += 1;
@@ -1313,6 +1317,14 @@ impl CoeCluster {
             }
             outcome.moves += 1;
         }
+        debug_assert_eq!(
+            (0..self.homes.len()).find(|&e| {
+                let replicas = &self.replicas[e];
+                !replicas.windows(2).all(|w| w[0] < w[1]) || replicas.contains(&self.homes[e])
+            }),
+            None,
+            "this expert's replicas are unsorted, repeat a node, or include its home"
+        );
         outcome
     }
 
@@ -1900,5 +1912,42 @@ mod tests {
         assert!(out.transfer_time.is_zero(), "weights were already there");
         assert_eq!(cluster.owner(0), 1);
         assert!(cluster.replica_nodes(0).is_empty());
+    }
+
+    #[test]
+    fn draining_onto_a_replica_holder_promotes_the_replica() {
+        let mut cluster =
+            CoeCluster::new(NodeSpec::sn40l_node(), 2, ExpertLibrary::new(100), 512).unwrap();
+        let plan = crate::placement::PlacementPlan {
+            replicate: vec![(0, 1)],
+            moves: Vec::new(),
+        };
+        cluster.apply_placement(&plan);
+        // Draining the home hands expert 0 to node 1, which already holds
+        // it as a replica: node 1 becomes the home and stops being listed
+        // as a replica, so the next placement pass sees a consistent
+        // holder list.
+        cluster.drain_node(0).unwrap();
+        assert_eq!(cluster.owner(0), 1);
+        assert!(cluster.replica_nodes(0).is_empty());
+        cluster.apply_placement(&crate::placement::PlacementPlan::default());
+    }
+
+    #[test]
+    fn rebalancing_onto_a_replica_holder_promotes_the_replica() {
+        let mut cluster =
+            CoeCluster::new(NodeSpec::sn40l_node(), 3, ExpertLibrary::new(300), 512).unwrap();
+        let new = cluster.add_node();
+        let plan = crate::placement::PlacementPlan {
+            replicate: vec![(0, new)],
+            moves: Vec::new(),
+        };
+        cluster.apply_placement(&plan);
+        // The empty node is the first rebalance destination, and it
+        // already holds expert 0 as a replica.
+        cluster.rebalance_experts();
+        assert_eq!(cluster.owner(0), new);
+        assert!(cluster.replica_nodes(0).is_empty());
+        cluster.apply_placement(&crate::placement::PlacementPlan::default());
     }
 }

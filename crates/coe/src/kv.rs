@@ -46,7 +46,7 @@
 
 use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Page geometry and the HBM budget the cache may occupy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -106,6 +106,16 @@ struct PageMeta {
     finished: bool,
 }
 
+impl PageMeta {
+    /// Eviction rank, cheapest victim lowest: the live bit sits above
+    /// the last-touch stamp, so finished pages rank before live ones and
+    /// each group orders least-recently-touched first. The clock counts
+    /// touches, so it never reaches the live bit.
+    fn rank(&self) -> u64 {
+        (u64::from(!self.finished) << 63) | self.last_touch
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct SeqState {
     /// Highest page index ever allocated for the sequence, exclusive —
@@ -116,15 +126,20 @@ struct SeqState {
 
 /// A paged KV cache with cost-aware LRU eviction under an HBM budget.
 ///
-/// Deterministic by construction: pages live in ordered maps, the victim
-/// scan is a total order over `(evict-cost, last-touch, page key)`, and
-/// the logical clock advances once per touch.
+/// Deterministic by construction: pages live in ordered maps, victims
+/// come off an ordered index of the total order `(evict-cost,
+/// last-touch, page key)`, and the logical clock advances once per
+/// touch.
 #[derive(Debug, Clone)]
 pub struct PagedKvCache {
     config: PagedKvConfig,
     capacity: u64,
     /// Resident pages keyed by `(sequence, page index)`.
     pages: BTreeMap<(u64, u32), PageMeta>,
+    /// The victim index: one `(rank, sequence, page index)` entry per
+    /// resident page, kept in step with `pages`, so the first entry is
+    /// the next victim.
+    victims: BTreeSet<(u64, u64, u32)>,
     seqs: BTreeMap<u64, SeqState>,
     clock: u64,
     stats: KvStats,
@@ -146,6 +161,7 @@ impl PagedKvCache {
             config,
             capacity,
             pages: BTreeMap::new(),
+            victims: BTreeSet::new(),
             seqs: BTreeMap::new(),
             clock: 0,
             stats: KvStats::default(),
@@ -185,17 +201,28 @@ impl PagedKvCache {
     /// context is dead — dropping is free), then least-recently-touched,
     /// then lowest key. Returns false when nothing is resident.
     fn evict_one(&mut self) -> bool {
-        let victim = self
-            .pages
-            .iter()
-            .min_by_key(|(&key, meta)| (!meta.finished, meta.last_touch, key))
-            .map(|(&key, _)| key);
+        #[cfg(test)]
+        let reference = self.linear_victim();
+        let victim = self.victims.pop_first().map(|(_, seq, page)| (seq, page));
+        #[cfg(test)]
+        assert_eq!(victim, reference, "victim index disagrees with the scan");
         let Some(key) = victim else {
             return false;
         };
         self.pages.remove(&key);
         self.stats.pages_evicted += 1;
         true
+    }
+
+    /// The victim the index stands in for, found the slow way: a linear
+    /// scan of every resident page for the lowest `(live, last-touch,
+    /// key)`. Unit tests hold every eviction to it.
+    #[cfg(test)]
+    fn linear_victim(&self) -> Option<(u64, u32)> {
+        self.pages
+            .iter()
+            .min_by_key(|(&key, meta)| (!meta.finished, meta.last_touch, key))
+            .map(|(&key, _)| key)
     }
 
     /// Ensures the first `pages_for(tokens)` pages of `seq` are resident,
@@ -214,8 +241,10 @@ impl PagedKvCache {
         let mut touch = KvTouch::default();
         for page in 0..needed {
             if let Some(meta) = self.pages.get_mut(&(seq, page)) {
+                self.victims.remove(&(meta.rank(), seq, page));
                 meta.last_touch = self.clock;
                 meta.finished = false;
+                self.victims.insert((meta.rank(), seq, page));
                 continue;
             }
             // Not resident: a refault if it was allocated before, a
@@ -232,19 +261,23 @@ impl PagedKvCache {
                 }
                 touch.evicted += 1;
             }
-            self.pages.insert(
-                (seq, page),
-                PageMeta {
-                    last_touch: self.clock,
-                    finished: false,
-                },
-            );
+            let meta = PageMeta {
+                last_touch: self.clock,
+                finished: false,
+            };
+            self.pages.insert((seq, page), meta);
+            self.victims.insert((meta.rank(), seq, page));
             self.stats.pages_in += 1;
         }
         debug_assert_eq!(
             self.stats.pages_in,
             self.pages.len() as u64 + self.stats.pages_evicted,
             "KV page conservation broke in this touch"
+        );
+        debug_assert_eq!(
+            self.victims.len(),
+            self.pages.len(),
+            "KV victim index drifted from the page map in this touch"
         );
         touch
     }
@@ -255,16 +288,16 @@ impl PagedKvCache {
         if let Some(state) = self.seqs.get_mut(&seq) {
             state.finished = true;
         }
-        let keys: Vec<(u64, u32)> = self
-            .pages
-            .range((seq, 0)..=(seq, u32::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            if let Some(meta) = self.pages.get_mut(&k) {
-                meta.finished = true;
-            }
+        for (&(_, page), meta) in self.pages.range_mut((seq, 0)..=(seq, u32::MAX)) {
+            self.victims.remove(&(meta.rank(), seq, page));
+            meta.finished = true;
+            self.victims.insert((meta.rank(), seq, page));
         }
+        debug_assert_eq!(
+            self.victims.len(),
+            self.pages.len(),
+            "KV victim index drifted from the page map in this finish"
+        );
     }
 }
 
@@ -410,6 +443,28 @@ mod tests {
     }
 
     proptest! {
+        /// Over random touch/finish interleavings, the victim index pops
+        /// exactly the page the linear scan picks at every eviction (the
+        /// check inside `evict_one`), its head agrees with the scan after
+        /// every operation, and it holds one entry per resident page.
+        #[test]
+        fn victim_index_matches_the_linear_scan(
+            capacity in 1u64..10,
+            ops in proptest::collection::vec((0u64..5, 1usize..48, 0u8..3), 1..120),
+        ) {
+            let mut kv = tiny(capacity);
+            for (seq, tokens, op) in ops {
+                if op == 0 {
+                    kv.finish(seq);
+                } else {
+                    kv.touch(seq, tokens);
+                }
+                prop_assert_eq!(kv.victims.len(), kv.pages.len());
+                let head = kv.victims.first().map(|&(_, seq, page)| (seq, page));
+                prop_assert_eq!(head, kv.linear_victim());
+            }
+        }
+
         /// The conservation identity survives arbitrary interleavings of
         /// touches and finishes, and residency never exceeds capacity.
         #[test]

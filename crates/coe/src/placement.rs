@@ -161,23 +161,33 @@ impl ExpertStats {
     /// Predicted probability that `expert` is routed next wave: its own
     /// presence EWMA, lifted by the strongest co-activation signal —
     /// `P(e | partner) · rate(partner)` over all partners it has fired
-    /// with.
+    /// with. One entry of [`ExpertStats::predicted_probabilities`].
     pub fn predicted_probability(&self, expert: usize) -> f64 {
-        let mut p = self.rate[expert];
+        self.predicted_probabilities()[expert]
+    }
+
+    /// [`ExpertStats::predicted_probability`] for every expert, scored in
+    /// one pass over the co-activation pairs: each pair lifts both of its
+    /// ends. Each expert's maximum runs over the same partners in the
+    /// same order as a per-expert scan, so the values are bit-equal to it.
+    pub fn predicted_probabilities(&self) -> Vec<f64> {
+        let mut p = self.rate.clone();
+        let lift = |partner: usize, count: u64| {
+            (self.hits[partner] > 0)
+                .then(|| count as f64 / self.hits[partner] as f64 * self.rate[partner])
+        };
         for (&(a, b), &count) in &self.co {
-            let partner = if a == expert {
-                b
-            } else if b == expert {
-                a
-            } else {
-                continue;
-            };
-            if self.hits[partner] > 0 {
-                let conditional = count as f64 / self.hits[partner] as f64;
-                p = p.max(conditional * self.rate[partner]);
+            if let Some(lifted) = lift(b, count) {
+                p[a] = p[a].max(lifted);
+            }
+            if let Some(lifted) = lift(a, count) {
+                p[b] = p[b].max(lifted);
             }
         }
-        p.min(1.0)
+        for v in &mut p {
+            *v = v.min(1.0);
+        }
+        p
     }
 
     /// Experts sorted hottest-first by presence EWMA (ties: lower index
@@ -226,8 +236,10 @@ impl PrefetchPolicy {
     /// `max_per_wave` that are actually missing (already-resident
     /// candidates are free skips, not wasted slots).
     pub fn candidates(&self, stats: &ExpertStats) -> Vec<usize> {
-        let mut picks: Vec<(usize, f64)> = (0..stats.n_experts())
-            .map(|e| (e, stats.predicted_probability(e)))
+        let mut picks: Vec<(usize, f64)> = stats
+            .predicted_probabilities()
+            .into_iter()
+            .enumerate()
             .filter(|&(_, p)| p >= self.threshold)
             .collect();
         picks.sort_by(|a, b| {
@@ -526,6 +538,7 @@ impl ServingPolicies {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn view(homes: &[usize], nodes: usize) -> PlacementView {
         PlacementView {
@@ -615,6 +628,68 @@ mod tests {
             max_per_wave: 8,
         };
         assert_eq!(strict.candidates(&stats), vec![2]);
+    }
+
+    /// The per-expert pair scan that one-pass scoring replaced.
+    fn scanned_probability(stats: &ExpertStats, expert: usize) -> f64 {
+        let mut p = stats.rate[expert];
+        for (&(a, b), &count) in &stats.co {
+            let partner = if a == expert {
+                b
+            } else if b == expert {
+                a
+            } else {
+                continue;
+            };
+            if stats.hits[partner] > 0 {
+                let conditional = count as f64 / stats.hits[partner] as f64;
+                p = p.max(conditional * stats.rate[partner]);
+            }
+        }
+        p.min(1.0)
+    }
+
+    /// Prefetch candidates ranked from the per-expert scan.
+    fn scanned_candidates(policy: &PrefetchPolicy, stats: &ExpertStats) -> Vec<usize> {
+        let mut picks: Vec<(usize, f64)> = (0..stats.n_experts())
+            .map(|e| (e, scanned_probability(stats, e)))
+            .filter(|&(_, p)| p >= policy.threshold)
+            .collect();
+        picks.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("probabilities are finite")
+                .then(a.0.cmp(&b.0))
+        });
+        picks.into_iter().map(|(e, _)| e).collect()
+    }
+
+    proptest! {
+        /// One-pass scoring is bit-equal to the per-expert scan for every
+        /// expert after every wave, and ranks prefetch candidates in the
+        /// same order. Eight experts at `alpha = 0.5` repeat presence
+        /// patterns often, so equal probabilities (ties) are common.
+        #[test]
+        fn one_pass_scoring_matches_the_per_expert_scan(
+            waves in proptest::collection::vec(
+                proptest::collection::vec(0usize..8, 0..6),
+                1..40,
+            ),
+            threshold in 0.0f64..0.8,
+        ) {
+            let mut stats = ExpertStats::new(8, 0.5);
+            let policy = PrefetchPolicy { threshold, max_per_wave: 4 };
+            for wave in &waves {
+                stats.observe_wave(wave);
+                let scored = stats.predicted_probabilities();
+                for (e, p) in scored.iter().enumerate() {
+                    prop_assert_eq!(p.to_bits(), scanned_probability(&stats, e).to_bits());
+                }
+                prop_assert_eq!(
+                    policy.candidates(&stats),
+                    scanned_candidates(&policy, &stats)
+                );
+            }
+        }
     }
 
     #[test]

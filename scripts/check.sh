@@ -47,6 +47,13 @@ if ! diff -u /tmp/placement_jobs1.out /tmp/placement_jobs4.out; then
   exit 1
 fi
 grep -q "PLACEMENT POLICIES" /tmp/placement_jobs1.out
+# Pinned: a change to the KV cache, prefetch scoring, or placement that
+# moves any printed metric of the eight rows changes this digest.
+if ! grep -q "placement digest 8a24d20aa154bee3 " /tmp/placement_jobs1.out; then
+  echo "placement digest moved (want 8a24d20aa154bee3):" >&2
+  grep "placement digest" /tmp/placement_jobs1.out >&2
+  exit 1
+fi
 rm -f /tmp/placement_jobs1.out /tmp/placement_jobs4.out
 
 echo "==> repro obs smoke (burn-rate alerts + flight recorder, --jobs parity)"
